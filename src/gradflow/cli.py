@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import warnings as _warnings
@@ -83,10 +84,33 @@ def _parse_state(text: str, dim: int) -> np.ndarray:
         values = [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise InputFormatError(f"bad state vector {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise InputFormatError(f"bad state vector {text!r}: entries must be finite")
     if len(values) != dim:
         raise InputDimensionError(
             f"state vector has {len(values)} entries, system has dimension {dim}")
     return np.array(values)
+
+
+def _bounded(kind, low, inclusive: bool):
+    """argparse type: a finite ``kind`` (int or float), ``>= low`` or ``> low``."""
+    relation = ">=" if inclusive else ">"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not math.isfinite(value) or value < low or (value == low and not inclusive):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {relation} {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, 0, inclusive=False)
 
 
 def cmd_analyze(args) -> dict:
@@ -207,8 +231,11 @@ def cmd_simulate(args) -> dict:
         d0 = geometry.metric_distance(ctx, trajectory.states[0], companion.states[0])
         gaps = np.linalg.norm(
             (companion.states - trajectory.states) @ ctx.transform.T, axis=1)
-        with np.errstate(over="ignore"):
-            bounds = np.exp(-lam * trajectory.times) * d0
+        # identical starts stay together: a zero bound, not exp(...) * 0 = nan
+        bounds = 0.0
+        if d0 > 0:
+            with np.errstate(over="ignore"):
+                bounds = np.exp(-lam * trajectory.times) * d0
         results["contraction_defect"] = float(max(0.0, np.max(gaps - bounds)))
     options = {"method": args.method, "t_end": args.t_end,
                "step": args.step, "nodes": args.nodes}
@@ -263,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="relative tolerance (default 1e-9)")
         if seed:
-            p.add_argument("--samples", type=int, default=1000,
+            p.add_argument("--samples", type=_positive_int, default=1000,
                            help="number of sampled checks (default 1000)")
             p.add_argument("--seed", type=int, default=0,
                            help="sampling seed, echoed in the report (default 0)")
@@ -299,12 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--x0", action="append", required=True,
                    help="comma-separated initial state; repeat for a pair")
-    p.add_argument("--t-end", type=float, required=True, dest="t_end")
+    p.add_argument("--t-end", type=_bounded(float, 0.0, inclusive=True),
+                   required=True, dest="t_end")
     p.add_argument("--method", choices=[m.value for m in Integrator],
                    default="exact")
-    p.add_argument("--step", type=float,
+    p.add_argument("--step", type=_bounded(float, 0.0, inclusive=False),
                    help="step size (required for rk4 and mm)")
-    p.add_argument("--nodes", type=int, default=200,
+    p.add_argument("--nodes", type=_positive_int, default=200,
                    help="exact-method sample count (default 200)")
     p.add_argument("--out", required=True, help="trajectory CSV to write")
     p.set_defaults(handler=cmd_simulate)

@@ -52,19 +52,47 @@ class InputDimensionError(ValueError):
     """Input parses but its dimensions are inconsistent."""
 
 
-def render_json(value, indent: int = 2) -> str:
+_INDENT = "  "
+
+
+def _float_row(row, sep: str) -> str:
+    """The entries of a 1-D float array at 17 significant digits, ``sep``-joined."""
+    return sep.join(["%.17g"] * len(row)) % tuple(row)
+
+
+def render_json(value) -> str:
     """Deterministic JSON with floats at 17 significant digits.
 
     The standard encoder cannot hook float formatting, so this walks the
     structure directly.  Dict key order is preserved (callers build reports
     with a fixed field order); only JSON-representable types plus numpy
-    scalars and arrays are accepted.
+    scalars and arrays are accepted.  Objects and lists put one item per
+    line, indented by two spaces per level.  A float ``ndarray`` is
+    rendered a row at a time: a 1-D array is one line ``[a, b, c]``, and an
+    n-D array puts each innermost row on its own line.  Non-finite floats
+    raise ``ValueError``.
     """
     pieces: list[str] = []
 
+    def emit_items(items, depth: int, emit_item) -> None:
+        if not items:
+            pieces.append("[]")
+            return
+        inner = _INDENT * (depth + 1)
+        pieces.append("[\n")
+        for i, item in enumerate(items):
+            pieces.append(inner)
+            emit_item(item, depth + 1)
+            pieces.append(",\n" if i + 1 < len(items) else "\n")
+        pieces.append(_INDENT * depth + "]")
+
+    def emit_array(array: np.ndarray, depth: int) -> None:
+        if array.ndim == 1:
+            pieces.append("[" + _float_row(array, ", ") + "]")
+        else:
+            emit_items(list(array), depth, emit_array)
+
     def emit(node, depth: int) -> None:
-        pad = " " * (indent * depth)
-        inner = " " * (indent * (depth + 1))
         if node is None:
             pieces.append("null")
         elif isinstance(node, (bool, np.bool_)):
@@ -78,21 +106,19 @@ def render_json(value, indent: int = 2) -> str:
             pieces.append(format(x, ".17g"))
         elif isinstance(node, str):
             pieces.append(json.dumps(node))
-        elif isinstance(node, (list, tuple, np.ndarray)):
-            items = list(np.asarray(node).tolist()) if isinstance(node, np.ndarray) else list(node)
-            if not items:
-                pieces.append("[]")
-                return
-            pieces.append("[\n")
-            for i, item in enumerate(items):
-                pieces.append(inner)
-                emit(item, depth + 1)
-                pieces.append(",\n" if i + 1 < len(items) else "\n")
-            pieces.append(pad + "]")
+        elif isinstance(node, np.ndarray) and node.dtype.kind == "f" and node.ndim:
+            if not np.isfinite(node).all():
+                raise ValueError("non-finite float in JSON document")
+            emit_array(node, depth)
+        elif isinstance(node, np.ndarray):
+            emit(node.tolist(), depth)
+        elif isinstance(node, (list, tuple)):
+            emit_items(list(node), depth, emit)
         elif isinstance(node, dict):
             if not node:
                 pieces.append("{}")
                 return
+            inner = _INDENT * (depth + 1)
             pieces.append("{\n")
             keys = list(node)
             for i, key in enumerate(keys):
@@ -101,7 +127,7 @@ def render_json(value, indent: int = 2) -> str:
                 pieces.append(inner + json.dumps(key) + ": ")
                 emit(node[key], depth + 1)
                 pieces.append(",\n" if i + 1 < len(keys) else "\n")
-            pieces.append(pad + "}")
+            pieces.append(_INDENT * depth + "}")
         else:
             raise TypeError(f"cannot serialize {type(node).__name__}")
 
@@ -213,8 +239,8 @@ def write_trajectory_csv(path, trajectory) -> None:
     """CSV with header ``t,x1,...,xd``, one row per node, 17 significant digits."""
     dim = trajectory.states.shape[1]
     lines = ["t," + ",".join(f"x{i + 1}" for i in range(dim))]
-    for t, row in zip(trajectory.times, trajectory.states):
-        lines.append(",".join(format(v, ".17g") for v in (t, *row)))
+    table = np.column_stack((trajectory.times, trajectory.states))
+    lines.extend(_float_row(row, ",") for row in table)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -168,6 +168,20 @@ def test_simulate_pair_reports_contraction_defect(workdir, capsys):
     assert report["results"]["contraction_defect"] == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_identical_pair_on_expanding_system_is_clean(workdir, capsys):
+    tmp_path, write = workdir
+    # sup w = 1 > 0 and nearly parallel eigenvectors: exp(-lambda t) overflows
+    doc = {"dim": 2, "rows": [[1, 50], [0, -1]]}
+    system = str(tmp_path / "system.json")
+    run(capsys, "synthesize", write("e.json", doc), "--out", system)
+    code, report, err = run(capsys, "simulate", system, "--x0", "1,1",
+                            "--x0", "1,1", "--t-end", "1", "--out",
+                            str(tmp_path / "t.csv"))
+    assert code == 0 and err == ""
+    assert report["results"]["contraction_defect"] == 0.0
+
+
 def test_simulate_minimizing_movement_singular_step_exits_5(workdir, capsys):
     tmp_path, write = workdir
     # positive eigenvalue makes the energy curvature indefinite
@@ -299,3 +313,29 @@ def test_report_out_flag_writes_identical_json(workdir, capsys):
     code, report, _ = run(capsys, "analyze", path, "--out", str(saved))
     assert code == 0
     assert json.loads(saved.read_text()) == report
+
+
+@pytest.mark.parametrize("argv", [
+    ("convexity", "{system}", "--samples", "0"),
+    ("markov", "{generator}", "entropic-verify", "--samples", "0"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--nodes", "0"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "-1"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--method", "mm",
+     "--step", "0"),
+    ("simulate", "{system}", "--x0", "nan,0,0", "--t-end", "1"),
+])
+def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
+    tmp_path, write = workdir
+    system = str(tmp_path / "system.json")
+    run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", system)
+    generator = write("gen.json", {"convention": "transposed", "dim": 3,
+                                   "rows": reversible_three_state().matrix.tolist()})
+    argv = [a.format(system=system, generator=generator) for a in argv]
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "t.csv")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
