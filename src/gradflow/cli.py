@@ -19,22 +19,7 @@ import warnings as _warnings
 import numpy as np
 
 from . import geometry, markov
-from .errors import (
-    AsymmetryDefectError,
-    ColumnSumError,
-    DegenerateKernelError,
-    FlowMismatchError,
-    FlowOverflowError,
-    GradFlowError,
-    IllConditionedError,
-    NegativeRateError,
-    NonFiniteStateError,
-    NonPositiveKernelError,
-    NotCriticalError,
-    NotDiagonalisableError,
-    NotReversibleError,
-    SingularStepError,
-)
+from .errors import ColumnSumError, GradFlowError, NegativeRateError
 from .flow import (
     Integrator,
     exact_trajectory,
@@ -66,13 +51,8 @@ EXIT_NUMERIC = 5
 
 log = logging.getLogger("gradflow")
 
-_PRECONDITION_ERRORS = (NotDiagonalisableError, NotReversibleError,
-                        NegativeRateError, ColumnSumError, FlowMismatchError,
-                        NotCriticalError)
-_NUMERIC_ERRORS = (FlowOverflowError, SingularStepError, NonFiniteStateError,
-                   DegenerateKernelError, NonPositiveKernelError,
-                   IllConditionedError, AsymmetryDefectError, GradFlowError,
-                   np.linalg.LinAlgError)
+_FAILURE_LABELS = {EXIT_PRECONDITION: "precondition failed",
+                   EXIT_NUMERIC: "numeric failure"}
 
 
 def _complex_list(values) -> list[dict]:
@@ -191,6 +171,10 @@ def _simulate_one(args, matrix, diag, gs, ctx, x0):
         return exact_trajectory(diag, x0, args.t_end, nodes)
     if args.step is None:
         raise InputFormatError(f"--step is required for method {args.method!r}")
+    if args.step > args.t_end:
+        raise InputFormatError(
+            f"--step {args.step:g} exceeds --t-end {args.t_end:g} for method "
+            f"{args.method!r}")
     if method is Integrator.RK4:
         return rk4_flow(matrix, x0, args.t_end, args.step)
     return minimizing_movement_flow(gs, ctx, x0, args.t_end, args.step)
@@ -367,10 +351,10 @@ def main(argv=None) -> int:
     except InputDimensionError as exc:
         print(f"gradflow: dimension error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except _PRECONDITION_ERRORS as exc:
-        print(f"gradflow: precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except _NUMERIC_ERRORS as exc:
+    except GradFlowError as exc:
+        print(f"gradflow: {_FAILURE_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except np.linalg.LinAlgError as exc:
         print(f"gradflow: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

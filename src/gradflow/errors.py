@@ -2,11 +2,19 @@
 
 
 class GradFlowError(Exception):
-    """Base class for all library-specific failures."""
+    """Base class for all library-specific failures.
+
+    ``exit_code`` is the command-line exit status the failure maps to: 5
+    (numeric failure) unless a subclass declares a precondition failure (4).
+    """
+
+    exit_code = 5
 
 
 class NotDiagonalisableError(GradFlowError):
     """Matrix is not real diagonalisable; carries the diagnostic report."""
+
+    exit_code = 4
 
     def __init__(self, report):
         self.report = report
@@ -26,6 +34,8 @@ class IllConditionedError(GradFlowError):
 class FlowMismatchError(GradFlowError):
     """Supplied matrix does not generate the system's flow."""
 
+    exit_code = 4
+
 
 class AsymmetryDefectError(GradFlowError):
     """Similarity-transformed matrix failed its symmetry certificate."""
@@ -33,6 +43,8 @@ class AsymmetryDefectError(GradFlowError):
 
 class NotCriticalError(GradFlowError):
     """Claimed equilibrium is not an equilibrium of the flow."""
+
+    exit_code = 4
 
 
 class FlowOverflowError(GradFlowError):
@@ -50,9 +62,13 @@ class SingularStepError(GradFlowError):
 class NegativeRateError(GradFlowError):
     """Generator has a negative off-diagonal jump rate."""
 
+    exit_code = 4
+
 
 class ColumnSumError(GradFlowError):
     """Generator columns do not sum to zero."""
+
+    exit_code = 4
 
 
 class DegenerateKernelError(GradFlowError):
@@ -73,3 +89,5 @@ class NonPositiveStateError(GradFlowError):
 
 class NotReversibleError(GradFlowError):
     """Chain fails detailed balance."""
+
+    exit_code = 4

@@ -104,45 +104,77 @@ def exact_trajectory(diag: Diagonalisation, x0, t_end: float,
     return Trajectory(times, states, Integrator.EXACT)
 
 
-def rk4_flow(a, x0, t_end: float, step: float) -> Trajectory:
-    """Classical fixed-step fourth-order Runge-Kutta for ``dx/dt = a @ x``.
+def _step_times(t_end: float, step: float) -> tuple[np.ndarray, float]:
+    """Nodes ``0, step, 2 step, ...`` ending at ``t_end``, and the last step.
 
-    Steps of size ``step`` cover ``[0, t_end]``, with one shorter final step
-    when the horizon is not an exact multiple.  Emits a RuntimeWarning when
-    ``step * operator_norm(a) > 1`` (accuracy/stability advisory, not an
-    error) and raises :class:`NonFiniteStateError` if the state blows up.
+    When the horizon is not an exact multiple of ``step`` the last interval
+    is a shorter remainder; otherwise the last step is ``step``.  Raises
+    ValueError unless ``0 < step <= t_end``.
     """
-    a = as_square_matrix(a)
-    x0 = as_vector(x0, a.shape[0])
     if step <= 0.0:
         raise ValueError("step must be positive")
     if t_end < step:
         raise ValueError("step must not exceed t_end")
-    if step * operator_norm(a) > 1.0:
-        warnings.warn("step * operator_norm(a) > 1: RK4 may be inaccurate "
-                      "or unstable", RuntimeWarning, stacklevel=2)
-
     n_full = int(np.floor(t_end / step + 1e-12))
-    remainder = t_end - n_full * step
-    if remainder < 1e-12 * max(step, t_end):
-        remainder = 0.0
     times = step * np.arange(n_full + 1)
-    if remainder > 0.0:
-        times = np.append(times, t_end)
+    remainder = t_end - times[-1]
+    if remainder < 1e-12 * t_end:
+        times[-1] = t_end
+        return times, step
+    return np.append(times, t_end), remainder
 
+
+def _iterate(x0: np.ndarray, times: np.ndarray, step: float, last_step: float,
+             propagator) -> np.ndarray:
+    """States ``x_k = P x_{k-1} + shift`` with ``(P, shift) = propagator(h_k)``.
+
+    Every interval but the last has length ``step``, so at most two
+    propagators are built.  Raises :class:`NonFiniteStateError` at the first
+    non-finite state.
+    """
+    full = propagator(step)
+    final = full if last_step == step else propagator(last_step)
     states = np.empty((times.size, x0.size))
     states[0] = x0
     x = x0
     for k in range(1, times.size):
-        h = times[k] - times[k - 1]
-        k1 = a @ x
-        k2 = a @ (x + 0.5 * h * k1)
-        k3 = a @ (x + 0.5 * h * k2)
-        k4 = a @ (x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        matrix, shift = final if k == times.size - 1 else full
+        x = matrix @ x + shift
         if not np.all(np.isfinite(x)):
             raise NonFiniteStateError(f"state became non-finite at t = {times[k]:g}")
         states[k] = x
+    return states
+
+
+def rk4_flow(a, x0, t_end: float, step: float) -> Trajectory:
+    """Classical fixed-step fourth-order Runge-Kutta for ``dx/dt = a @ x``.
+
+    Steps of size ``step`` cover ``[0, t_end]``, with one shorter final step
+    when the horizon is not an exact multiple.  For a linear field one RK4
+    step of size ``h`` is the fixed matrix polynomial
+    ``I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``; it is formed once (twice
+    with a remainder step) and each step is one matrix-vector product.
+    Emits a RuntimeWarning when ``step * operator_norm(a) > 1``
+    (accuracy/stability advisory, not an error) and raises
+    :class:`NonFiniteStateError` if the state blows up.
+    """
+    a = as_square_matrix(a)
+    x0 = as_vector(x0, a.shape[0])
+    times, last_step = _step_times(t_end, step)
+    if step * operator_norm(a) > 1.0:
+        warnings.warn("step * operator_norm(a) > 1: RK4 may be inaccurate "
+                      "or unstable", RuntimeWarning, stacklevel=2)
+    eye = np.eye(a.shape[0])
+
+    def propagator(h):
+        # Horner form of the degree-4 Taylor polynomial of exp(hA).
+        ha = h * a
+        poly = eye + ha / 4.0
+        for divisor in (3.0, 2.0, 1.0):
+            poly = eye + (ha @ poly) / divisor
+        return poly, 0.0
+
+    states = _iterate(x0, times, step, last_step, propagator)
     return Trajectory(times, states, Integrator.RK4)
 
 
@@ -151,23 +183,28 @@ def minimizing_movement_flow(gs: CanonicalGradientSystem, ctx: "MetricContext",
     """Implicit steps ``x_{k+1} = argmin F(x) + d(x, x_k)^2 / (2 tau)``.
 
     For the quadratic energy and the flat metric with tensor
-    ``g = transform.T @ transform`` each step is the single linear solve
+    ``g = transform.T @ transform`` each step is the linear system
 
         (g + tau * hessian) x_{k+1} = g @ x_k + tau * hessian @ equilibrium
 
-    (the equilibrium term vanishes for systems centred at zero).  The step
-    matrix must be positive definite, which bounds ``tau`` by the most
-    negative curvature direction; :class:`SingularStepError` is raised
-    otherwise.  The scheme is backward Euler in disguise, first-order
-    accurate in ``tau``.
+    (the equilibrium term vanishes for systems centred at zero).  In the
+    coordinates ``y = transform @ x`` it reads ``(I + tau m) y_{k+1} = y_k +
+    tau inv(transform).T @ hessian @ equilibrium`` with ``m =
+    inv(transform).T @ hessian @ inv(transform)``.  ``I + tau m`` has
+    condition near 1 where the step matrix has about ``cond(transform)^2``;
+    it is inverted once, each step is one matrix-vector product, and one
+    matrix product maps the states back.  Steps of size ``tau`` cover
+    ``[0, t_end]``, with one shorter final step when the horizon is not an
+    exact multiple, so the trajectory ends at ``t_end``.  The step matrix
+    must be positive definite, which bounds ``tau`` by the most negative
+    curvature direction; :class:`SingularStepError` is raised otherwise.
+    The shorter step's matrix is a convex combination of ``g`` and the full
+    one, so it is definite too.  The scheme is backward Euler in disguise,
+    first-order accurate in ``tau``.
     """
     x0 = as_vector(x0, gs.dim)
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    if t_end < tau:
-        raise ValueError("tau must not exceed t_end")
-    tensor = ctx.metric_tensor()
-    step_matrix = tensor + tau * gs.hessian
+    times, last_step = _step_times(t_end, tau)
+    step_matrix = ctx.metric_tensor() + tau * gs.hessian
     step_matrix = (step_matrix + step_matrix.T) / 2.0
     try:
         np.linalg.cholesky(step_matrix)
@@ -176,19 +213,20 @@ def minimizing_movement_flow(gs: CanonicalGradientSystem, ctx: "MetricContext",
             f"step matrix not positive definite at tau = {tau:g}; "
             "reduce the step") from None
 
-    n_steps = int(round(t_end / tau))
-    if abs(n_steps * tau - t_end) > 1e-9 * t_end:
-        n_steps = int(np.ceil(t_end / tau - 1e-12))
-    n_steps = max(n_steps, 1)
-    shift = tau * (gs.hessian @ gs.equilibrium)
-    states = np.empty((n_steps + 1, x0.size))
+    inv_t = np.linalg.inv(ctx.transform)
+    m = inv_t.T @ gs.hessian @ inv_t
+    m = (m + m.T) / 2.0
+    force = inv_t.T @ (gs.hessian @ gs.equilibrium)
+    eye = np.eye(gs.dim)
+
+    def propagator(h):
+        resolvent = np.linalg.inv(eye + h * m)
+        return resolvent, h * (resolvent @ force)
+
+    y = _iterate(ctx.transform @ x0, times, tau, last_step, propagator)
+    states = y @ inv_t.T
     states[0] = x0
-    x = x0
-    for k in range(1, n_steps + 1):
-        x = np.linalg.solve(step_matrix, tensor @ x + shift)
-        states[k] = x
-    return Trajectory(tau * np.arange(n_steps + 1), states,
-                      Integrator.MINIMIZING_MOVEMENT)
+    return Trajectory(times, states, Integrator.MINIMIZING_MOVEMENT)
 
 
 @dataclass(frozen=True)
@@ -218,6 +256,6 @@ def dissipation_audit(gs: CanonicalGradientSystem, traj: Trajectory) -> Dissipat
     dts = traj.times[2:] - traj.times[:-2]
     rate = (energies[2:] - energies[:-2]) / dts
     grads = (traj.states[1:-1] - gs.equilibrium) @ gs.hessian.T
-    dissipation = np.einsum("ni,ij,nj->n", grads, gs.onsager, grads)
+    dissipation = np.sum((grads @ gs.onsager) * grads, axis=1)
     defect = float(np.max(np.abs(rate + dissipation)))
     return DissipationReport(energies, monotone, defect)

@@ -131,7 +131,7 @@ def check_strong_monotonicity(gs: CanonicalGradientSystem, flat_lambda: float,
     x1 = _ball_points(rng, samples, gs.dim, radius)
     x2 = _ball_points(rng, samples, gs.dim, radius)
     delta = x1 - x2
-    quad = np.einsum("ni,ij,nj->n", delta, gs.hessian, delta)
+    quad = np.sum((delta @ gs.hessian) * delta, axis=1)
     violation = flat_lambda * np.sum(delta * delta, axis=1) - quad
     return float(max(0.0, np.max(violation)))
 

@@ -78,7 +78,7 @@ class CanonicalGradientSystem:
         delta = np.asarray(x, dtype=float) - self.equilibrium
         if delta.ndim == 1:
             return float(delta @ self.hessian @ delta) / 2.0
-        return np.einsum("...i,ij,...j->...", delta, self.hessian, delta) / 2.0
+        return np.sum((delta @ self.hessian) * delta, axis=-1) / 2.0
 
     def energy_grad(self, x) -> np.ndarray:
         """Gradient ``hessian @ (x - eq)``."""

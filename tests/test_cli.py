@@ -323,6 +323,12 @@ def test_report_out_flag_writes_identical_json(workdir, capsys):
     ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--method", "mm",
      "--step", "0"),
     ("simulate", "{system}", "--x0", "nan,0,0", "--t-end", "1"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--method", "rk4",
+     "--step", "2"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--method", "mm",
+     "--step", "2"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "0", "--method", "rk4",
+     "--step", "0.5"),
 ])
 def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
     tmp_path, write = workdir

@@ -216,6 +216,63 @@ def test_equilibrium_is_fixed_for_all_integrators():
         uniform, atol=1e-10)
 
 
+def _planted_dense(rng):
+    """d = 50 system with cond(T) = 100, its metric and a start, for closed forms."""
+    diag = make_diagonalisation(rng, 50, cond=100.0)
+    return (diag, synthesize_canonical(diag), MetricContext.from_diagonalisation(diag),
+            rng.standard_normal(50))
+
+
+def _modal_states(diag, x0, factors):
+    """Rows ``inv(T) diag(factors[k]) T x0``: the closed form of a modal iteration."""
+    return np.linalg.solve(diag.transform, (factors * (diag.transform @ x0)).T).T
+
+
+def _worst_relative_error(states, reference):
+    return float(np.max(np.linalg.norm(states - reference, axis=1)
+                        / np.linalg.norm(reference, axis=1)))
+
+
+def test_minimizing_movement_matches_resolvent_closed_form(rng):
+    diag, gs, ctx, x0 = _planted_dense(rng)
+    tau = 2.0 ** -6
+    traj = minimizing_movement_flow(gs, ctx, x0, 0.5, tau)
+    steps = np.arange(traj.times.size, dtype=float)[:, None]
+    reference = _modal_states(diag, x0, (1.0 - tau * diag.eigenvalues) ** -steps)
+    assert _worst_relative_error(traj.states, reference) < 5e-13
+
+
+def test_rk4_matches_polynomial_closed_form(rng):
+    diag, gs, _, x0 = _planted_dense(rng)
+    h = 2.0 ** -9
+    traj = rk4_flow(gs.flow_matrix(), x0, 0.25, h)
+    z = h * diag.eigenvalues
+    poly = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+    steps = np.arange(traj.times.size, dtype=float)[:, None]
+    reference = _modal_states(diag, x0, poly ** steps)
+    assert _worst_relative_error(traj.states, reference) < 1e-12
+
+
+def test_minimizing_movement_ends_at_horizon_with_shorter_step():
+    _, diag, gs, ctx = _three_state_setup()
+    x0 = np.array([1.0, 0.0, 0.0])
+    traj = minimizing_movement_flow(gs, ctx, x0, 1.0, 0.3)
+    assert traj.times[-1] == 1.0 and traj.times.size == 5
+    w = diag.eigenvalues
+    remainder = 1.0 - 3 * 0.3  # 0.1 up to rounding
+    factors = (1.0 - 0.3 * w) ** -3 * (1.0 - remainder * w) ** -1
+    expected = _modal_states(diag, x0, factors[None, :])[0]
+    assert np.allclose(traj.states[-1], expected, rtol=1e-12, atol=1e-14)
+
+
+def test_batched_energy_matches_single_rows(rng):
+    _, gs, _, _ = _planted_dense(rng)
+    batch = rng.standard_normal((40, 50))
+    single = np.array([gs.energy(row) for row in batch])
+    np.testing.assert_allclose(gs.energy(batch), single, rtol=1e-13, atol=0.0)
+    assert gs.energy(batch.reshape(8, 5, 50)).shape == (8, 5)
+
+
 def test_dissipation_audit_constant_at_equilibrium():
     _, diag, gs, _ = _three_state_setup()
     traj = exact_trajectory(diag, np.full(3, 1.0 / 3.0), 2.0, nodes=100)
