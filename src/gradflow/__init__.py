@@ -23,7 +23,6 @@ from .flow import (
 )
 from .geometry import (
     ConvexityConstants,
-    MetricContext,
     check_contraction,
     check_geodesic_convexity,
     check_strong_monotonicity,
@@ -83,7 +82,6 @@ __all__ = [
     "GeneratorMatrix",
     "GradFlowError",
     "Integrator",
-    "MetricContext",
     "SpectralReport",
     "Trajectory",
     "check_contraction",

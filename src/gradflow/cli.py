@@ -40,7 +40,7 @@ from .serialize import (
     system_document,
     write_trajectory_csv,
 )
-from .spectral import DEFAULT_TOL, inspect_spectrum, is_spd, real_diagonalise
+from .spectral import DEFAULT_TOL, inspect_spectrum, real_diagonalise
 from .synthesis import synthesize_canonical, verify_flow_identity
 
 EXIT_OK = 0
@@ -116,7 +116,7 @@ def cmd_synthesize(args) -> dict:
     results = {
         "out": args.out,
         "flow_residual": residual,
-        "spd": is_spd(gs.onsager, args.tol),
+        "spd": True,  # else synthesize_canonical raised IllConditionedError
         "sup_eigenvalue": constants.sup_eigenvalue,
         "flat_lambda": constants.flat_lambda,
         "geodesic_lambda": constants.geodesic_lambda,
@@ -137,14 +137,13 @@ def cmd_verify(args) -> dict:
 
 def cmd_convexity(args) -> dict:
     _, diag, gs = load_system_document(args.input)
-    ctx = geometry.MetricContext.from_diagonalisation(diag)
     constants = geometry.convexity_constants(diag)
     mono = geometry.check_strong_monotonicity(
         gs, constants.flat_lambda, samples=args.samples, seed=args.seed)
     geo = geometry.check_geodesic_convexity(
-        gs, ctx, constants.geodesic_lambda, samples=args.samples, seed=args.seed)
+        gs, diag, constants.geodesic_lambda, samples=args.samples, seed=args.seed)
     contraction = geometry.check_contraction(
-        diag, ctx, constants.geodesic_lambda, pairs=args.samples, seed=args.seed)
+        diag, constants.geodesic_lambda, pairs=args.samples, seed=args.seed)
     results = {
         "sup_eigenvalue": constants.sup_eigenvalue,
         "flat_lambda": constants.flat_lambda,
@@ -161,7 +160,7 @@ def cmd_convexity(args) -> dict:
                          "seed": args.seed}, results)
 
 
-def _simulate_one(args, matrix, diag, gs, ctx, x0):
+def _simulate_one(args, matrix, diag, gs, x0):
     method = Integrator(args.method)
     if method is Integrator.EXACT:
         if args.step is not None:
@@ -177,12 +176,11 @@ def _simulate_one(args, matrix, diag, gs, ctx, x0):
             f"{args.method!r}")
     if method is Integrator.RK4:
         return rk4_flow(matrix, x0, args.t_end, args.step)
-    return minimizing_movement_flow(gs, ctx, x0, args.t_end, args.step)
+    return minimizing_movement_flow(gs, diag, x0, args.t_end, args.step)
 
 
 def cmd_simulate(args) -> dict:
     matrix, diag, gs = load_system_document(args.input)
-    ctx = geometry.MetricContext.from_diagonalisation(diag)
     states = [_parse_state(text, gs.dim) for text in args.x0]
     if len(states) > 2:
         raise InputFormatError("at most two --x0 vectors are supported")
@@ -190,10 +188,10 @@ def cmd_simulate(args) -> dict:
     caught: list[str] = []
     with _warnings.catch_warnings(record=True) as collected:
         _warnings.simplefilter("always")
-        trajectory = _simulate_one(args, matrix, diag, gs, ctx, states[0])
+        trajectory = _simulate_one(args, matrix, diag, gs, states[0])
         companion = None
         if len(states) == 2:
-            companion = _simulate_one(args, matrix, diag, gs, ctx, states[1])
+            companion = _simulate_one(args, matrix, diag, gs, states[1])
         caught = [str(w.message) for w in collected]
 
     write_trajectory_csv(args.out, trajectory)
@@ -212,9 +210,9 @@ def cmd_simulate(args) -> dict:
     }
     if companion is not None:
         lam = geometry.convexity_constants(diag).geodesic_lambda
-        d0 = geometry.metric_distance(ctx, trajectory.states[0], companion.states[0])
+        d0 = geometry.metric_distance(diag, trajectory.states[0], companion.states[0])
         gaps = np.linalg.norm(
-            (companion.states - trajectory.states) @ ctx.transform.T, axis=1)
+            (companion.states - trajectory.states) @ diag.transform.T, axis=1)
         # identical starts stay together: a zero bound, not exp(...) * 0 = nan
         bounds = 0.0
         if d0 > 0:

@@ -47,6 +47,10 @@ class NotCriticalError(GradFlowError):
     exit_code = 4
 
 
+class ConvexityConstantsError(GradFlowError):
+    """Convexity constants are not finite or fail their cross-check."""
+
+
 class FlowOverflowError(GradFlowError):
     """Requested time would overflow the exponential propagator."""
 

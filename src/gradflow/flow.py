@@ -1,9 +1,11 @@
 """Integrators for the linear flow ``dx/dt = a @ x``.
 
 Three routes: the exact spectral propagator, classical fixed-step RK4, and
-implicit minimizing-movement steps in the metric of a constant-mobility
-gradient system.  A dissipation audit evaluates the energy along a computed
-trajectory and checks the decay identity.
+implicit minimizing-movement steps in the transport metric of a
+:class:`~gradflow.spectral.Diagonalisation`.  The exact propagator and the
+minimizing-movement steps read that record's ``transform`` and its cached
+inverse ``eigenvectors``.  A dissipation audit evaluates the energy along a
+computed trajectory and checks the decay identity.
 """
 
 from __future__ import annotations
@@ -11,16 +13,12 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FlowOverflowError, NonFiniteStateError, SingularStepError
 from .spectral import Diagonalisation, as_square_matrix, as_vector, operator_norm
 from .synthesis import CanonicalGradientSystem
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .geometry import MetricContext
 
 #: Largest exponent argument before exp overflows in double precision (~709).
 EXP_GUARD = 700.0
@@ -63,7 +61,8 @@ class Trajectory:
 def exact_flow(diag: Diagonalisation, x0, t: float) -> np.ndarray:
     """Propagate ``x0`` by time ``t`` with the spectral propagator.
 
-    Computes ``inv(transform) @ diag(exp(t w)) @ transform @ x0``.  ``x0``
+    Computes ``eigenvectors @ diag(exp(t w)) @ transform @ x0`` with the
+    record's cached ``eigenvectors = inv(transform)``.  ``x0``
     may be a single state or an array of states in rows.  Negative ``t``
     runs the flow backwards; the formula is its own inverse under t -> -t.
     Raises :class:`FlowOverflowError` when some ``t * w_i`` exceeds the
@@ -79,7 +78,7 @@ def exact_flow(diag: Diagonalisation, x0, t: float) -> np.ndarray:
     if points.shape[1] != diag.dim:
         raise ValueError("state dimension does not match the diagonalisation")
     modes = (points @ diag.transform.T) * np.exp(exponents)
-    out = np.linalg.solve(diag.transform, modes.T).T
+    out = modes @ diag.eigenvectors.T
     return out[0] if single else out
 
 
@@ -99,7 +98,7 @@ def exact_trajectory(diag: Diagonalisation, x0, t_end: float,
         raise FlowOverflowError(
             f"t * eigenvalue = {np.max(exponents):.3g} exceeds the exp range")
     modes = np.exp(exponents) * (diag.transform @ x0)
-    states = np.linalg.solve(diag.transform, modes.T).T
+    states = modes @ diag.eigenvectors.T
     states[0] = x0
     return Trajectory(times, states, Integrator.EXACT)
 
@@ -178,19 +177,21 @@ def rk4_flow(a, x0, t_end: float, step: float) -> Trajectory:
     return Trajectory(times, states, Integrator.RK4)
 
 
-def minimizing_movement_flow(gs: CanonicalGradientSystem, ctx: "MetricContext",
+def minimizing_movement_flow(gs: CanonicalGradientSystem, diag: Diagonalisation,
                              x0, t_end: float, tau: float) -> Trajectory:
     """Implicit steps ``x_{k+1} = argmin F(x) + d(x, x_k)^2 / (2 tau)``.
 
-    For the quadratic energy and the flat metric with tensor
-    ``g = transform.T @ transform`` each step is the linear system
+    For the quadratic energy and the transport metric of ``diag``, the flat
+    metric with tensor ``g = transform.T @ transform``, each step is the
+    linear system
 
         (g + tau * hessian) x_{k+1} = g @ x_k + tau * hessian @ equilibrium
 
     (the equilibrium term vanishes for systems centred at zero).  In the
     coordinates ``y = transform @ x`` it reads ``(I + tau m) y_{k+1} = y_k +
     tau inv(transform).T @ hessian @ equilibrium`` with ``m =
-    inv(transform).T @ hessian @ inv(transform)``.  ``I + tau m`` has
+    inv(transform).T @ hessian @ inv(transform)``, where ``inv(transform)``
+    is the record's cached ``eigenvectors``.  ``I + tau m`` has
     condition near 1 where the step matrix has about ``cond(transform)^2``;
     it is inverted once, each step is one matrix-vector product, and one
     matrix product maps the states back.  Steps of size ``tau`` cover
@@ -204,7 +205,8 @@ def minimizing_movement_flow(gs: CanonicalGradientSystem, ctx: "MetricContext",
     """
     x0 = as_vector(x0, gs.dim)
     times, last_step = _step_times(t_end, tau)
-    step_matrix = ctx.metric_tensor() + tau * gs.hessian
+    t = diag.transform
+    step_matrix = t.T @ t + tau * gs.hessian
     step_matrix = (step_matrix + step_matrix.T) / 2.0
     try:
         np.linalg.cholesky(step_matrix)
@@ -213,7 +215,7 @@ def minimizing_movement_flow(gs: CanonicalGradientSystem, ctx: "MetricContext",
             f"step matrix not positive definite at tau = {tau:g}; "
             "reduce the step") from None
 
-    inv_t = np.linalg.inv(ctx.transform)
+    inv_t = diag.eigenvectors
     m = inv_t.T @ gs.hessian @ inv_t
     m = (m + m.T) / 2.0
     force = inv_t.T @ (gs.hessian @ gs.equilibrium)
@@ -223,7 +225,7 @@ def minimizing_movement_flow(gs: CanonicalGradientSystem, ctx: "MetricContext",
         resolvent = np.linalg.inv(eye + h * m)
         return resolvent, h * (resolvent @ force)
 
-    y = _iterate(ctx.transform @ x0, times, tau, last_step, propagator)
+    y = _iterate(t @ x0, times, tau, last_step, propagator)
     states = y @ inv_t.T
     states[0] = x0
     return Trajectory(times, states, Integrator.MINIMIZING_MOVEMENT)

@@ -5,57 +5,22 @@ With a constant Onsager operator the induced distance is flat:
 and geodesics are straight lines.  This module computes that distance, the
 convexity moduli of the quadratic energy in both the ambient norm and the
 transport metric, and sampled certificates for the convexity, monotonicity
-and contraction inequalities.
+and contraction inequalities.  All of it reads the
+:class:`~gradflow.spectral.Diagonalisation` record: ``transform`` and its
+two cached operator norms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvexityConstantsError
 from .flow import exact_flow
-from .spectral import DEFAULT_TOL, Diagonalisation, as_square_matrix, as_vector
+from .spectral import DEFAULT_TOL, Diagonalisation, as_vector
 from .synthesis import CanonicalGradientSystem
-
-
-@dataclass(frozen=True)
-class MetricContext:
-    """Transform of a diagonalisation together with its operator norms.
-
-    The metric tensor is ``transform.T @ transform``; the two norms bound
-    the distance against the Euclidean one from both sides.
-    """
-
-    transform: np.ndarray
-    transform_norm: float
-    inverse_norm: float
-
-    def __post_init__(self):
-        t = as_square_matrix(self.transform)
-        object.__setattr__(self, "transform", t)
-        if self.transform_norm * self.inverse_norm < 1.0 - 1e-12:
-            raise ValueError("norm product must be at least 1")
-
-    @classmethod
-    def from_transform(cls, transform) -> "MetricContext":
-        t = as_square_matrix(transform)
-        singular = np.linalg.svd(t, compute_uv=False)
-        if singular[-1] <= 0.0:
-            raise ValueError("transform must be invertible")
-        return cls(t, float(singular[0]), float(1.0 / singular[-1]))
-
-    @classmethod
-    def from_diagonalisation(cls, diag: Diagonalisation) -> "MetricContext":
-        return cls.from_transform(diag.transform)
-
-    @property
-    def dim(self) -> int:
-        return self.transform.shape[0]
-
-    def metric_tensor(self) -> np.ndarray:
-        g = self.transform.T @ self.transform
-        return (g + g.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -74,11 +39,11 @@ class ConvexityConstants:
     geodesic_factor: float
 
 
-def metric_distance(ctx: MetricContext, x1, x2) -> float:
+def metric_distance(diag: Diagonalisation, x1, x2) -> float:
     """Distance ``|transform @ (x2 - x1)|`` induced by the constant mobility."""
-    x1 = as_vector(x1, ctx.dim)
-    x2 = as_vector(x2, ctx.dim)
-    return float(np.linalg.norm(ctx.transform @ (x2 - x1)))
+    x1 = as_vector(x1, diag.dim)
+    x2 = as_vector(x2, diag.dim)
+    return float(np.linalg.norm(diag.transform @ (x2 - x1)))
 
 
 def convexity_constants(diag: Diagonalisation) -> ConvexityConstants:
@@ -87,26 +52,38 @@ def convexity_constants(diag: Diagonalisation) -> ConvexityConstants:
     The geodesic modulus is computed directly from the norm case split on
     the sign of the largest eigenvalue, then cross-checked against the
     two-step route (ambient modulus followed by the metric-norm transfer);
-    the two must agree by construction.
+    the two must agree by construction.  Raises
+    :class:`~gradflow.errors.ConvexityConstantsError` when a factor or
+    modulus is not a finite double (a transform norm above about 1e154
+    squares out of range) or when the cross-check fails.
     """
-    singular = np.linalg.svd(diag.transform, compute_uv=False)
-    t_norm = float(singular[0])
-    inv_norm = float(1.0 / singular[-1])
+    t_norm = diag.transform_norm
+    inv_norm = diag.inverse_norm
     sup = float(np.max(diag.eigenvalues))
-    if sup >= 0.0:
-        flat_factor = t_norm ** 2
-        geo_factor = inv_norm ** 2 * t_norm ** 2
-    else:
-        flat_factor = inv_norm ** -2
-        geo_factor = 1.0 / (inv_norm ** 2 * t_norm ** 2)
-    flat_lambda = -sup * flat_factor
-    geodesic_lambda = -sup * geo_factor
-    if flat_lambda > 0.0:
-        transferred = flat_lambda / t_norm ** 2
-    else:
-        transferred = flat_lambda * inv_norm ** 2
+    try:
+        if sup >= 0.0:
+            flat_factor = t_norm ** 2
+            geo_factor = inv_norm ** 2 * t_norm ** 2
+        else:
+            flat_factor = inv_norm ** -2
+            geo_factor = 1.0 / (inv_norm ** 2 * t_norm ** 2)
+        flat_lambda = -sup * flat_factor
+        geodesic_lambda = -sup * geo_factor
+        if flat_lambda > 0.0:
+            transferred = flat_lambda / t_norm ** 2
+        else:
+            transferred = flat_lambda * inv_norm ** 2
+        finite = all(map(math.isfinite, (flat_factor, geo_factor, flat_lambda,
+                                         geodesic_lambda, transferred)))
+    except OverflowError:  # Python float ** raises where * returns inf
+        finite = False
+    if not finite:
+        raise ConvexityConstantsError(
+            "convexity constants are not finite doubles (transform norm "
+            f"{t_norm:.3g}, inverse norm {inv_norm:.3g})")
     if not np.isclose(transferred, geodesic_lambda, rtol=1e-12, atol=0.0):
-        raise RuntimeError("direct and transferred convexity moduli disagree")
+        raise ConvexityConstantsError(
+            "direct and transferred convexity moduli disagree")
     return ConvexityConstants(sup, flat_lambda, geodesic_lambda,
                               flat_factor, geo_factor)
 
@@ -141,7 +118,7 @@ def default_theta_grid() -> np.ndarray:
     return np.concatenate([np.linspace(0.0, 1.0, 11), [0.499, 0.501]])
 
 
-def check_geodesic_convexity(gs: CanonicalGradientSystem, ctx: MetricContext,
+def check_geodesic_convexity(gs: CanonicalGradientSystem, diag: Diagonalisation,
                              geodesic_lambda: float, samples: int = 1000,
                              theta_grid=None, seed: int = 0,
                              radius: float = 1.0) -> float:
@@ -158,7 +135,7 @@ def check_geodesic_convexity(gs: CanonicalGradientSystem, ctx: MetricContext,
     x2 = _ball_points(rng, samples, gs.dim, radius)
     e1 = gs.energy(x1)
     e2 = gs.energy(x2)
-    dist_sq = np.sum(((x2 - x1) @ ctx.transform.T) ** 2, axis=1)
+    dist_sq = np.sum(((x2 - x1) @ diag.transform.T) ** 2, axis=1)
     worst = 0.0
     for theta in np.asarray(theta_grid, dtype=float):
         mid = (1.0 - theta) * x1 + theta * x2
@@ -168,9 +145,8 @@ def check_geodesic_convexity(gs: CanonicalGradientSystem, ctx: MetricContext,
     return max(0.0, worst)
 
 
-def check_contraction(diag: Diagonalisation, ctx: MetricContext,
-                      geodesic_lambda: float, pairs: int = 100,
-                      times=(0.1, 1.0, 10.0), seed: int = 0,
+def check_contraction(diag: Diagonalisation, geodesic_lambda: float,
+                      pairs: int = 100, times=(0.1, 1.0, 10.0), seed: int = 0,
                       radius: float = 1.0) -> float:
     """Worst positive defect of ``d(x1(t), x2(t)) <= exp(-lambda t) d(x1, x2)``.
 
@@ -180,12 +156,12 @@ def check_contraction(diag: Diagonalisation, ctx: MetricContext,
     rng = np.random.default_rng(seed)
     x1 = _ball_points(rng, pairs, diag.dim, radius)
     x2 = _ball_points(rng, pairs, diag.dim, radius)
-    d0 = np.linalg.norm((x2 - x1) @ ctx.transform.T, axis=1)
+    d0 = np.linalg.norm((x2 - x1) @ diag.transform.T, axis=1)
     worst = 0.0
     for t in times:
         y1 = exact_flow(diag, x1, t)
         y2 = exact_flow(diag, x2, t)
-        dt = np.linalg.norm((y2 - y1) @ ctx.transform.T, axis=1)
+        dt = np.linalg.norm((y2 - y1) @ diag.transform.T, axis=1)
         with np.errstate(over="ignore"):
             bound = np.exp(-geodesic_lambda * t) * d0
         worst = max(worst, float(np.max(dt - bound)))

@@ -11,7 +11,8 @@ Frobenius norm of the input unless stated otherwise.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,32 +70,48 @@ class SpectralReport:
 class Diagonalisation:
     """Certified factorisation ``a = inv(transform) @ diag(eigenvalues) @ transform``.
 
-    ``residual`` is the Frobenius defect of that identity measured at
-    construction time.  The columns of ``inv(transform)`` are unit
-    eigenvectors.
+    The one record of a factorised system: the transport metric, the
+    synthesized system, the convexity constants and the exact propagator
+    all derive from it.  ``residual`` is the Frobenius defect of that
+    identity measured at construction time.  The SVD that validates
+    ``transform`` also gives the read-only operator norms ``transform_norm``
+    and ``inverse_norm`` (of ``inv(transform)``).  ``eigenvectors =
+    inv(transform)``, whose columns are unit eigenvectors, is computed on
+    first use and kept.
     """
 
     transform: np.ndarray
     eigenvalues: np.ndarray
     residual: float = 0.0
+    transform_norm: float = field(init=False, repr=False, compare=False)
+    inverse_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = as_square_matrix(self.transform)
         w = as_vector(self.eigenvalues, t.shape[0])
-        if np.linalg.svd(t, compute_uv=False)[-1] <= 0.0:
+        singular = np.linalg.svd(t, compute_uv=False)
+        if singular[-1] <= 0.0:
             raise ValueError("transform must be invertible")
         if self.residual < 0.0:
             raise ValueError("residual must be non-negative")
         object.__setattr__(self, "transform", t)
         object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "transform_norm", float(singular[0]))
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "inverse_norm", float(1.0 / singular[-1]))
 
     @property
     def dim(self) -> int:
         return self.transform.shape[0]
 
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """``inv(transform)``, computed on first use and kept."""
+        return np.linalg.inv(self.transform)
+
     def reconstruct(self) -> np.ndarray:
         """Return ``inv(transform) @ diag(eigenvalues) @ transform``."""
-        return np.linalg.solve(self.transform, self.eigenvalues[:, None] * self.transform)
+        return (self.eigenvectors * self.eigenvalues) @ self.transform
 
 
 def canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray):
@@ -140,7 +157,7 @@ def _realify_conjugate_pairs(values: np.ndarray, vectors: np.ndarray):
 
 
 def _decompose(a: np.ndarray, tol: float):
-    """Shared worker behind :func:`inspect_spectrum` and :func:`real_diagonalise`."""
+    """The report, and ``(transform, eigenvalues, residual)`` or ``None``."""
     a = as_square_matrix(a)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -148,7 +165,7 @@ def _decompose(a: np.ndarray, tol: float):
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         report = SpectralReport(np.zeros(dim, dtype=complex), True, FailureKind.NONE, 1.0)
-        return report, Diagonalisation(np.eye(dim), np.zeros(dim), 0.0)
+        return report, (np.eye(dim), np.zeros(dim), 0.0)
 
     if np.linalg.norm(a - a.T) <= tol * scale:
         # Symmetric input: take the orthogonal eigenbasis so the transform
@@ -178,7 +195,7 @@ def _decompose(a: np.ndarray, tol: float):
         return SpectralReport(spectrum_sorted, False, FailureKind.DEFECTIVE), None
     condition = float(singular[0] / singular[-1])
     report = SpectralReport(values.astype(complex), True, FailureKind.NONE, condition)
-    return report, Diagonalisation(transform, values, residual)
+    return report, (transform, values, residual)
 
 
 def inspect_spectrum(a, tol: float = DEFAULT_TOL) -> SpectralReport:
@@ -205,10 +222,10 @@ def real_diagonalise(a, tol: float = DEFAULT_TOL) -> Diagonalisation:
         (ComplexSpectrum) or the eigenvector basis is numerically singular
         (Defective).  The exception carries the :class:`SpectralReport`.
     """
-    report, diag = _decompose(a, tol)
-    if diag is None:
+    report, factors = _decompose(a, tol)
+    if factors is None:
         raise NotDiagonalisableError(report)
-    return diag
+    return Diagonalisation(*factors)
 
 
 def is_spd(k, tol: float = DEFAULT_TOL) -> bool:

@@ -33,6 +33,7 @@ from .spectral import (
     as_vector,
     canonical_eigenbasis,
     is_spd,
+    symmetric_sqrt,
 )
 
 
@@ -146,7 +147,7 @@ def synthesize_canonical(diag: Diagonalisation, tol: float = DEFAULT_TOL) -> Can
     ill-conditioned that the Onsager operator fails the SPD check at
     working precision.
     """
-    inv_t = np.linalg.inv(diag.transform)
+    inv_t = diag.eigenvectors
     onsager = inv_t @ inv_t.T
     onsager = (onsager + onsager.T) / 2.0
     hessian = -(diag.transform.T * diag.eigenvalues) @ diag.transform
@@ -184,13 +185,8 @@ def recover_diagonalisation(gs: CanonicalGradientSystem, a,
     ref = max(np.linalg.norm(a), np.linalg.norm(product))
     if np.linalg.norm(a + product) > tol * ref:
         raise FlowMismatchError("matrix does not satisfy a = -onsager @ hessian")
-    if not is_spd(gs.onsager, tol):
-        raise NotSPDError("onsager operator must be strictly positive definite")
-
-    values, vectors = np.linalg.eigh((gs.onsager + gs.onsager.T) / 2.0)
-    root = (vectors * np.sqrt(values)) @ vectors.T
-    inv_root = (vectors / np.sqrt(values)) @ vectors.T
-    transformed = inv_root @ a @ root
+    root = symmetric_sqrt(gs.onsager, tol)
+    transformed = np.linalg.solve(root, a @ root)
     t_scale = max(np.linalg.norm(transformed), 1e-300)
     if np.linalg.norm(transformed - transformed.T) > tol * t_scale:
         raise AsymmetryDefectError(

@@ -164,12 +164,11 @@ def test_criterion_07_modulus_agreement_both_regimes(synthesized):
 def test_criterion_08_geodesic_convexity(synthesized):
     worst = 0.0
     for i, (_, _, diag, gs) in enumerate(synthesized):
-        ctx = gf.MetricContext.from_diagonalisation(diag)
         lam = gf.convexity_constants(diag).geodesic_lambda
-        defect = gf.check_geodesic_convexity(gs, ctx, lam, samples=1000,
+        defect = gf.check_geodesic_convexity(gs, diag, lam, samples=1000,
                                              seed=1000 + i)
         scale = 4.0 * (gf.operator_norm(gs.hessian)
-                       + abs(lam) * ctx.transform_norm ** 2)
+                       + abs(lam) * diag.transform_norm ** 2)
         worst = max(worst, defect / (1e-9 * scale))
     ok = worst <= 1.0
     _line(8, ok, f"1000 pairs x 13 thetas per system, worst defect at "
@@ -180,20 +179,18 @@ def test_criterion_08_geodesic_convexity(synthesized):
 def test_criterion_09_contraction(synthesized):
     worst = 0.0
     for i, (_, _, diag, _) in enumerate(synthesized):
-        ctx = gf.MetricContext.from_diagonalisation(diag)
         lam = gf.convexity_constants(diag).geodesic_lambda
-        defect = gf.check_contraction(diag, ctx, lam, pairs=100,
+        defect = gf.check_contraction(diag, lam, pairs=100,
                                       times=(0.1, 1.0, 10.0), seed=2000 + i)
-        scale = 300.0 * ctx.transform_norm  # distance magnitude ceiling
+        scale = 300.0 * diag.transform_norm  # distance magnitude ceiling
         worst = max(worst, defect / (1e-9 * scale))
     markov_ok = True
     for factory in (gf.reversible_three_state, gf.nonreversible_three_state):
         diag = gf.real_diagonalise(factory().matrix)
-        ctx = gf.MetricContext.from_diagonalisation(diag)
         # zero spectrum maximum forces a zero modulus: distances non-increasing
-        defect = gf.check_contraction(diag, ctx, 0.0, pairs=200,
+        defect = gf.check_contraction(diag, 0.0, pairs=200,
                                       times=(0.1, 1.0, 10.0), seed=9)
-        markov_ok = markov_ok and defect <= 1e-9 * ctx.transform_norm
+        markov_ok = markov_ok and defect <= 1e-9 * diag.transform_norm
     ok = worst <= 1.0 and markov_ok
     _line(9, ok, f"worst defect at {worst:.3e} of budget; generator flows "
                  f"non-expansive: {markov_ok}")
@@ -205,14 +202,13 @@ def test_criterion_10_integrator_orders():
     matrix = gf.nonreversible_three_state().matrix
     diag = gf.real_diagonalise(matrix)
     gs = gf.synthesize_canonical(diag)
-    ctx = gf.MetricContext.from_diagonalisation(diag)
     x0 = np.array([0.6, 0.3, 0.1])
     target = gf.exact_flow(diag, x0, 1.0)
     rk4_errors = [np.linalg.norm(gf.rk4_flow(matrix, x0, 1.0, h).states[-1]
                                  - target) for h in (0.025, 0.0125)]
     rk4_ratio = rk4_errors[0] / rk4_errors[1]
     mm_errors = [np.linalg.norm(
-        gf.minimizing_movement_flow(gs, ctx, x0, 1.0, tau).states[-1] - target)
+        gf.minimizing_movement_flow(gs, diag, x0, 1.0, tau).states[-1] - target)
         for tau in (0.02, 0.01)]
     mm_ratio = mm_errors[0] / mm_errors[1]
     ok = 11.0 <= rk4_ratio <= 21.0 and 1.8 <= mm_ratio <= 2.2

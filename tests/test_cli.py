@@ -1,6 +1,7 @@
 """Command-line front end tests: exit codes, schemas, determinism, formats."""
 
 import json
+from collections import Counter
 
 import jsonschema
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from gradflow.cli import main
 from gradflow.serialize import REPORT_SCHEMA, load_system_document
 from gradflow import nonreversible_three_state, reversible_three_state
+
+from conftest import make_diagonalisation
 
 THREE_STATE_DOC = {"dim": 3, "rows": [[-2, 0, 2], [1, -3, 2], [1, 3, -4]]}
 ROTATION_DOC = {"dim": 2, "rows": [[0, -1], [1, 0]]}
@@ -345,3 +348,79 @@ def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# T = 1e160 I diagonalises diag(-1, 0), but |T|^2 is beyond the double range.
+LARGE_NORM_SYSTEM = {
+    "kind": "gradient-system", "dim": 2,
+    "matrix": {"dim": 2, "rows": [[-1.0, 0.0], [0.0, 0.0]]},
+    "onsager": {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]},
+    "hessian": {"dim": 2, "rows": [[1.0, 0.0], [0.0, 0.0]]},
+    "equilibrium": [0.0, 0.0],
+    "transform": {"dim": 2, "rows": [[1e160, 0.0], [0.0, 1e160]]},
+    "eigenvalues": [-1.0, 0.0],
+    "residual": 0.0,
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("convexity", "--samples", "10"),
+    ("simulate", "--x0", "1,0", "--x0", "0,1", "--t-end", "1"),
+])
+def test_large_norm_transform_exits_5_without_traceback(workdir, capsys, argv):
+    tmp_path, write = workdir
+    system = write("big.json", LARGE_NORM_SYSTEM)
+    assert run(capsys, "verify", system)[0] == 0
+    argv = [argv[0], system, *argv[1:]]
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "t.csv")]
+    code, report, err = run(capsys, *argv)
+    assert code == 5 and report is None
+    assert "numeric failure" in err and "Traceback" not in err
+
+
+FACTORISATIONS = ("eig", "eigvalsh", "svd", "inv", "solve", "cholesky")
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("analyze", {"eig": 1, "svd": 1, "inv": 1}),
+    ("synthesize", {"eig": 1, "svd": 2, "eigvalsh": 2, "inv": 2}),
+    ("verify", {"svd": 1, "eigvalsh": 1}),
+    ("convexity", {"svd": 1, "eigvalsh": 1, "inv": 1}),
+    ("simulate-pair", {"svd": 1, "eigvalsh": 1, "inv": 1}),
+    ("simulate-rk4", {"svd": 2, "eigvalsh": 1}),
+    ("simulate-mm", {"svd": 1, "eigvalsh": 1, "inv": 2, "cholesky": 1}),
+])
+def test_factorisation_counts_per_command(workdir, capsys, monkeypatch,
+                                          command, expected):
+    """Each command factorises the system once and reuses the record.
+
+    The SVD that validates a loaded transform gives the metric norms, and
+    ``inv(transform)`` is computed at most once.  rk4 adds the SVD of its
+    step advisory, mm the inverse of its step resolvent.
+    """
+    tmp_path, write = workdir
+    planted = make_diagonalisation(np.random.default_rng(20), 20, min_gap=0.05)
+    matrix = write("a.json", {"dim": 20, "rows": planted.reconstruct().tolist()})
+    system = str(tmp_path / "system.json")
+    assert main(["synthesize", matrix, "--out", system]) == 0
+    simulate = ["simulate", system, "--x0", ",".join(["1"] * 20), "--t-end", "1",
+                "--out", str(tmp_path / "t.csv")]
+    argv = {
+        "analyze": ["analyze", matrix],
+        "synthesize": ["synthesize", matrix, "--out", system],
+        "verify": ["verify", system],
+        "convexity": ["convexity", system, "--samples", "50"],
+        "simulate-pair": simulate + ["--x0", ",".join(["0", "1"] * 10)],
+        "simulate-rk4": simulate + ["--method", "rk4", "--step", "0.25"],
+        "simulate-mm": simulate + ["--method", "mm", "--step", "0.25"],
+    }[command]
+    counts = Counter()
+    for name in FACTORISATIONS:
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert dict(counts) == expected

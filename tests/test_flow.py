@@ -7,7 +7,6 @@ from gradflow import (
     CanonicalGradientSystem,
     Diagonalisation,
     Integrator,
-    MetricContext,
     Trajectory,
     dissipation_audit,
     exact_flow,
@@ -33,8 +32,7 @@ def _three_state_setup():
     matrix = nonreversible_three_state().matrix
     diag = real_diagonalise(matrix)
     gs = synthesize_canonical(diag)
-    ctx = MetricContext.from_diagonalisation(diag)
-    return matrix, diag, gs, ctx
+    return matrix, diag, gs
 
 
 def test_exact_flow_at_time_zero(rng):
@@ -112,7 +110,7 @@ def test_rk4_scalar_exponential_accuracy():
 
 
 def test_rk4_fourth_order_convergence():
-    matrix, diag, _, _ = _three_state_setup()
+    matrix, diag, _ = _three_state_setup()
     x0 = np.array([0.6, 0.3, 0.1])
     target = exact_flow(diag, x0, 1.0)
     coarse = np.linalg.norm(rk4_flow(matrix, x0, 1.0, 0.05).states[-1] - target)
@@ -144,44 +142,43 @@ def test_rk4_rejects_bad_step():
         rk4_flow(np.eye(2), [1.0, 1.0], 0.5, 1.0)
 
 
-def test_minimizing_movement_without_force_is_constant(rng):
-    diag = make_diagonalisation(rng, 2)
+def test_minimizing_movement_without_force_is_constant():
     gs = CanonicalGradientSystem(np.eye(2), np.zeros((2, 2)), np.zeros(2))
-    ctx = MetricContext.from_transform(np.eye(2))
-    traj = minimizing_movement_flow(gs, ctx, [0.3, -0.7], 1.0, 0.1)
+    diag = Diagonalisation(np.eye(2), np.zeros(2))
+    traj = minimizing_movement_flow(gs, diag, [0.3, -0.7], 1.0, 0.1)
     assert np.allclose(traj.states, [0.3, -0.7])
 
 
 def test_minimizing_movement_scalar_resolvent():
     # unit mobility and curvature: each step divides by (1 + tau)
     gs = CanonicalGradientSystem(np.eye(1), np.eye(1), np.zeros(1))
-    ctx = MetricContext.from_transform(np.eye(1))
+    diag = Diagonalisation(np.eye(1), np.zeros(1))
     tau = 0.25
-    traj = minimizing_movement_flow(gs, ctx, [1.0], 1.0, tau)
+    traj = minimizing_movement_flow(gs, diag, [1.0], 1.0, tau)
     expected = (1.0 + tau) ** -np.arange(traj.times.size)
     assert np.allclose(traj.states[:, 0], expected, rtol=1e-12)
 
 
 def test_minimizing_movement_first_order_convergence():
-    _, diag, gs, ctx = _three_state_setup()
+    _, diag, gs = _three_state_setup()
     x0 = np.array([0.6, 0.3, 0.1])
     target = exact_flow(diag, x0, 1.0)
     coarse = np.linalg.norm(
-        minimizing_movement_flow(gs, ctx, x0, 1.0, 0.02).states[-1] - target)
+        minimizing_movement_flow(gs, diag, x0, 1.0, 0.02).states[-1] - target)
     fine = np.linalg.norm(
-        minimizing_movement_flow(gs, ctx, x0, 1.0, 0.01).states[-1] - target)
+        minimizing_movement_flow(gs, diag, x0, 1.0, 0.01).states[-1] - target)
     assert 1.8 <= coarse / fine <= 2.2
 
 
 def test_minimizing_movement_one_step_variational_inequality(rng):
-    _, diag, gs, ctx = _three_state_setup()
+    _, diag, gs = _three_state_setup()
     x0 = rng.standard_normal(3)
     tau = 0.05
-    traj = minimizing_movement_flow(gs, ctx, x0, 1.0, tau)
+    traj = minimizing_movement_flow(gs, diag, x0, 1.0, tau)
     energies = np.atleast_1d(gs.energy(traj.states))
     scale = max(1.0, np.max(np.abs(energies)))
     for k in range(traj.times.size - 1):
-        moved = metric_distance(ctx, traj.states[k + 1], traj.states[k])
+        moved = metric_distance(diag, traj.states[k + 1], traj.states[k])
         assert (energies[k + 1] + moved ** 2 / (2.0 * tau)
                 <= energies[k] + 1e-12 * scale)
 
@@ -189,38 +186,37 @@ def test_minimizing_movement_one_step_variational_inequality(rng):
 def test_minimizing_movement_singular_step():
     # negative curvature direction: step matrix loses definiteness at tau = 1/2
     gs = CanonicalGradientSystem(np.eye(1), np.array([[-2.0]]), np.zeros(1))
-    ctx = MetricContext.from_transform(np.eye(1))
+    diag = Diagonalisation(np.eye(1), np.zeros(1))
     with pytest.raises(SingularStepError):
-        minimizing_movement_flow(gs, ctx, [1.0], 2.0, 1.0)
+        minimizing_movement_flow(gs, diag, [1.0], 2.0, 1.0)
     # below the threshold the scheme runs
-    traj = minimizing_movement_flow(gs, ctx, [1.0], 1.0, 0.25)
+    traj = minimizing_movement_flow(gs, diag, [1.0], 1.0, 0.25)
     assert np.all(np.isfinite(traj.states))
 
 
 def test_minimizing_movement_rests_at_shifted_equilibrium():
     gs = CanonicalGradientSystem(np.diag([2.0, 1.0]), np.diag([1.0, 3.0]),
                                  np.array([1.0, -2.0]))
-    ctx = MetricContext.from_transform(np.diag([1.0, 2.0]))
-    traj = minimizing_movement_flow(gs, ctx, gs.equilibrium, 1.0, 0.1)
+    diag = Diagonalisation(np.diag([1.0, 2.0]), np.zeros(2))
+    traj = minimizing_movement_flow(gs, diag, gs.equilibrium, 1.0, 0.1)
     assert np.allclose(traj.states, gs.equilibrium, atol=1e-12)
 
 
 def test_equilibrium_is_fixed_for_all_integrators():
-    matrix, diag, gs, ctx = _three_state_setup()
+    matrix, diag, gs = _three_state_setup()
     uniform = np.full(3, 1.0 / 3.0)  # kernel vector of the generator
     assert np.allclose(exact_flow(diag, uniform, 5.0), uniform, atol=1e-12)
     assert np.allclose(rk4_flow(matrix, uniform, 1.0, 0.05).states[-1],
                        uniform, atol=1e-12)
     assert np.allclose(
-        minimizing_movement_flow(gs, ctx, uniform, 1.0, 0.05).states[-1],
+        minimizing_movement_flow(gs, diag, uniform, 1.0, 0.05).states[-1],
         uniform, atol=1e-10)
 
 
 def _planted_dense(rng):
-    """d = 50 system with cond(T) = 100, its metric and a start, for closed forms."""
+    """d = 50 system with cond(T) = 100 and a start, for closed forms."""
     diag = make_diagonalisation(rng, 50, cond=100.0)
-    return (diag, synthesize_canonical(diag), MetricContext.from_diagonalisation(diag),
-            rng.standard_normal(50))
+    return diag, synthesize_canonical(diag), rng.standard_normal(50)
 
 
 def _modal_states(diag, x0, factors):
@@ -234,16 +230,16 @@ def _worst_relative_error(states, reference):
 
 
 def test_minimizing_movement_matches_resolvent_closed_form(rng):
-    diag, gs, ctx, x0 = _planted_dense(rng)
+    diag, gs, x0 = _planted_dense(rng)
     tau = 2.0 ** -6
-    traj = minimizing_movement_flow(gs, ctx, x0, 0.5, tau)
+    traj = minimizing_movement_flow(gs, diag, x0, 0.5, tau)
     steps = np.arange(traj.times.size, dtype=float)[:, None]
     reference = _modal_states(diag, x0, (1.0 - tau * diag.eigenvalues) ** -steps)
     assert _worst_relative_error(traj.states, reference) < 5e-13
 
 
 def test_rk4_matches_polynomial_closed_form(rng):
-    diag, gs, _, x0 = _planted_dense(rng)
+    diag, gs, x0 = _planted_dense(rng)
     h = 2.0 ** -9
     traj = rk4_flow(gs.flow_matrix(), x0, 0.25, h)
     z = h * diag.eigenvalues
@@ -254,9 +250,9 @@ def test_rk4_matches_polynomial_closed_form(rng):
 
 
 def test_minimizing_movement_ends_at_horizon_with_shorter_step():
-    _, diag, gs, ctx = _three_state_setup()
+    _, diag, gs = _three_state_setup()
     x0 = np.array([1.0, 0.0, 0.0])
-    traj = minimizing_movement_flow(gs, ctx, x0, 1.0, 0.3)
+    traj = minimizing_movement_flow(gs, diag, x0, 1.0, 0.3)
     assert traj.times[-1] == 1.0 and traj.times.size == 5
     w = diag.eigenvalues
     remainder = 1.0 - 3 * 0.3  # 0.1 up to rounding
@@ -266,7 +262,7 @@ def test_minimizing_movement_ends_at_horizon_with_shorter_step():
 
 
 def test_batched_energy_matches_single_rows(rng):
-    _, gs, _, _ = _planted_dense(rng)
+    _, gs, _ = _planted_dense(rng)
     batch = rng.standard_normal((40, 50))
     single = np.array([gs.energy(row) for row in batch])
     np.testing.assert_allclose(gs.energy(batch), single, rtol=1e-13, atol=0.0)
@@ -274,7 +270,7 @@ def test_batched_energy_matches_single_rows(rng):
 
 
 def test_dissipation_audit_constant_at_equilibrium():
-    _, diag, gs, _ = _three_state_setup()
+    _, diag, gs = _three_state_setup()
     traj = exact_trajectory(diag, np.full(3, 1.0 / 3.0), 2.0, nodes=100)
     audit = dissipation_audit(gs, traj)
     assert audit.monotone
@@ -283,7 +279,7 @@ def test_dissipation_audit_constant_at_equilibrium():
 
 
 def test_dissipation_audit_monotone_with_vanishing_defect(rng):
-    _, diag, gs, _ = _three_state_setup()
+    _, diag, gs = _three_state_setup()
     for _ in range(5):
         x0 = rng.standard_normal(3)
         coarse = dissipation_audit(gs, exact_trajectory(diag, x0, 1.0, nodes=200))
@@ -306,7 +302,7 @@ def test_dissipation_decreases_even_on_expansive_mode():
 
 
 def test_rk4_trajectory_feeds_the_audit(rng):
-    matrix, diag, gs, _ = _three_state_setup()
+    matrix, diag, gs = _three_state_setup()
     traj = rk4_flow(matrix, rng.standard_normal(3), 1.0, 0.01)
     audit = dissipation_audit(gs, traj)
     assert audit.monotone

@@ -6,7 +6,6 @@ import pytest
 from gradflow import (
     CanonicalGradientSystem,
     Diagonalisation,
-    MetricContext,
     check_contraction,
     check_geodesic_convexity,
     check_strong_monotonicity,
@@ -26,43 +25,42 @@ from conftest import make_diagonalisation
 
 
 def test_distance_euclidean_case():
-    ctx = MetricContext.from_transform(np.eye(2))
-    assert metric_distance(ctx, [0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
+    diag = Diagonalisation(np.eye(2), np.zeros(2))
+    assert metric_distance(diag, [0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
 
 
 def test_distance_weighted_transform():
-    ctx = MetricContext.from_transform(np.diag([2.0, 1.0]))
+    diag = Diagonalisation(np.diag([2.0, 1.0]), np.zeros(2))
     # |diag(2,1) (1,1)| = sqrt(4 + 1)
-    assert metric_distance(ctx, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(np.sqrt(5.0))
+    assert metric_distance(diag, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(np.sqrt(5.0))
 
 
 def test_distance_vanishes_only_on_diagonal(rng):
-    ctx = MetricContext.from_diagonalisation(make_diagonalisation(rng, 4))
+    diag = make_diagonalisation(rng, 4)
     x = rng.standard_normal(4)
-    assert metric_distance(ctx, x, x) == 0.0
+    assert metric_distance(diag, x, x) == 0.0
     y = x + 1e-3 * rng.standard_normal(4)
-    assert metric_distance(ctx, x, y) > 0.0
+    assert metric_distance(diag, x, y) > 0.0
 
 
 def test_metric_axioms_on_samples(rng):
-    ctx = MetricContext.from_diagonalisation(make_diagonalisation(rng, 5, cond=40.0))
+    diag = make_diagonalisation(rng, 5, cond=40.0)
     for _ in range(50):
         a, b, c = rng.standard_normal((3, 5))
-        dab = metric_distance(ctx, a, b)
-        assert dab == pytest.approx(metric_distance(ctx, b, a), rel=1e-12)
-        assert dab <= (metric_distance(ctx, a, c)
-                       + metric_distance(ctx, c, b)) * (1.0 + 1e-12)
+        dab = metric_distance(diag, a, b)
+        assert dab == pytest.approx(metric_distance(diag, b, a), rel=1e-12)
+        assert dab <= (metric_distance(diag, a, c)
+                       + metric_distance(diag, c, b)) * (1.0 + 1e-12)
 
 
 def test_metric_bounds_against_euclidean(rng):
     diag = make_diagonalisation(rng, 5, cond=100.0)
-    ctx = MetricContext.from_diagonalisation(diag)
     for _ in range(100):
         a, b = rng.standard_normal((2, 5))
         gap = np.linalg.norm(b - a)
-        d = metric_distance(ctx, a, b)
-        assert gap / ctx.inverse_norm <= d * (1.0 + 1e-10)
-        assert d <= ctx.transform_norm * gap * (1.0 + 1e-10)
+        d = metric_distance(diag, a, b)
+        assert gap / diag.inverse_norm <= d * (1.0 + 1e-10)
+        assert d <= diag.transform_norm * gap * (1.0 + 1e-10)
 
 
 def test_constants_for_identity_transform():
@@ -131,9 +129,8 @@ def test_monotonicity_detects_overstated_modulus():
 def test_geodesic_defect_vanishes_at_endpoints(rng):
     diag = make_diagonalisation(rng, 3)
     gs = synthesize_canonical(diag)
-    ctx = MetricContext.from_diagonalisation(diag)
     lam = convexity_constants(diag).geodesic_lambda
-    assert check_geodesic_convexity(gs, ctx, lam, samples=200,
+    assert check_geodesic_convexity(gs, diag, lam, samples=200,
                                     theta_grid=[0.0, 1.0], seed=3) == 0.0
 
 
@@ -141,8 +138,7 @@ def test_geodesic_equality_case_at_midpoint():
     # identity transform, unit curvature: the inequality is tight for modulus 1
     diag = Diagonalisation(np.eye(2), np.array([-1.0, -1.0]))
     gs = synthesize_canonical(diag)
-    ctx = MetricContext.from_diagonalisation(diag)
-    defect = check_geodesic_convexity(gs, ctx, 1.0, samples=500,
+    defect = check_geodesic_convexity(gs, diag, 1.0, samples=500,
                                       theta_grid=[0.5], seed=4)
     assert defect <= 1e-12
 
@@ -150,9 +146,8 @@ def test_geodesic_equality_case_at_midpoint():
 def test_geodesic_certificate_for_three_state_system():
     diag = real_diagonalise(nonreversible_three_state().matrix)
     gs = synthesize_canonical(diag)
-    ctx = MetricContext.from_diagonalisation(diag)
     lam = convexity_constants(diag).geodesic_lambda
-    assert check_geodesic_convexity(gs, ctx, lam, samples=1000, seed=5) <= 1e-9
+    assert check_geodesic_convexity(gs, diag, lam, samples=1000, seed=5) <= 1e-9
 
 
 def test_geodesic_certificate_for_random_systems(rng):
@@ -160,10 +155,9 @@ def test_geodesic_certificate_for_random_systems(rng):
         diag = make_diagonalisation(rng, int(rng.integers(2, 8)),
                                     cond=10.0 ** rng.uniform(0.0, 2.0))
         gs = synthesize_canonical(diag)
-        ctx = MetricContext.from_diagonalisation(diag)
         lam = convexity_constants(diag).geodesic_lambda
-        scale = operator_norm(gs.hessian) + abs(lam) * ctx.transform_norm ** 2
-        assert (check_geodesic_convexity(gs, ctx, lam, samples=300, seed=seed)
+        scale = operator_norm(gs.hessian) + abs(lam) * diag.transform_norm ** 2
+        assert (check_geodesic_convexity(gs, diag, lam, samples=300, seed=seed)
                 <= 1e-9 * max(scale, 1.0))
 
 
@@ -177,35 +171,31 @@ def test_default_theta_grid_probes_midpoint():
 def test_contraction_tight_for_diagonal_flow():
     # identity transform: modulus equals the slowest decay rate exactly
     diag = Diagonalisation(np.eye(2), np.array([-1.0, -0.3]))
-    ctx = MetricContext.from_diagonalisation(diag)
-    defect = check_contraction(diag, ctx, 0.3, pairs=300,
+    defect = check_contraction(diag, 0.3, pairs=300,
                                times=(0.5, 2.0), seed=6)
     assert defect <= 1e-12
 
 
 def test_contraction_at_time_zero():
     diag = Diagonalisation(np.diag([2.0, 1.0]), np.array([-1.0, 1.0]))
-    ctx = MetricContext.from_diagonalisation(diag)
-    assert check_contraction(diag, ctx, -2.0, pairs=100, times=(0.0,),
+    assert check_contraction(diag, -2.0, pairs=100, times=(0.0,),
                              seed=7) <= 1e-12
 
 
 def test_contraction_nonexpansive_for_generators():
     for factory in (reversible_three_state, nonreversible_three_state):
         diag = real_diagonalise(factory().matrix)
-        ctx = MetricContext.from_diagonalisation(diag)
-        assert check_contraction(diag, ctx, 0.0, pairs=200,
+        assert check_contraction(diag, 0.0, pairs=200,
                                  times=(0.1, 1.0, 10.0), seed=8) <= 1e-12
 
 
 def test_exact_propagator_distance_identity(rng):
     """Sharper than the contraction bound: mode-wise decay of the distance."""
     diag = make_diagonalisation(rng, 4, cond=30.0)
-    ctx = MetricContext.from_diagonalisation(diag)
     for _ in range(20):
         x1, x2 = rng.standard_normal((2, 4))
         t = float(rng.uniform(0.0, 2.0))
-        moved = metric_distance(ctx, exact_flow(diag, x1, t),
+        moved = metric_distance(diag, exact_flow(diag, x1, t),
                                 exact_flow(diag, x2, t))
         modes = diag.transform @ (x1 - x2)
         expected = np.sqrt(np.sum(np.exp(2.0 * t * diag.eigenvalues) * modes ** 2))
@@ -219,10 +209,3 @@ def test_essential_range_check_cases():
     assert essential_range_check(Diagonalisation(np.eye(2), np.array([0.0, 0.0])))
     assert essential_range_check(Diagonalisation(np.eye(2), np.array([3.0, 1.0])),
                                  spectrum_bound=3.0)
-
-
-def test_metric_context_validates():
-    with pytest.raises(ValueError):
-        MetricContext.from_transform(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        MetricContext(np.eye(2), 0.5, 0.5)
