@@ -27,7 +27,6 @@ from .geometry import (
     check_geodesic_convexity,
     check_strong_monotonicity,
     convexity_constants,
-    default_theta_grid,
     essential_range_check,
     metric_distance,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "check_geodesic_convexity",
     "check_strong_monotonicity",
     "convexity_constants",
-    "default_theta_grid",
     "dissipation_audit",
     "entropic_onsager",
     "entropic_probe",

@@ -38,6 +38,7 @@ from .serialize import (
     render_json,
     save_system_document,
     system_document,
+    write_text,
     write_trajectory_csv,
 )
 from .spectral import DEFAULT_TOL, inspect_spectrum, real_diagonalise
@@ -194,7 +195,6 @@ def cmd_simulate(args) -> dict:
             companion = _simulate_one(args, matrix, diag, gs, states[1])
         caught = [str(w.message) for w in collected]
 
-    write_trajectory_csv(args.out, trajectory)
     audit = dissipation_audit(gs, trajectory)
     results = {
         "out": args.out,
@@ -219,6 +219,8 @@ def cmd_simulate(args) -> dict:
             with np.errstate(over="ignore"):
                 bounds = np.exp(-lam * trajectory.times) * d0
         results["contraction_defect"] = float(max(0.0, np.max(gaps - bounds)))
+    # written last, so a failed run leaves no complete-looking trajectory
+    write_trajectory_csv(args.out, trajectory)
     options = {"method": args.method, "t_end": args.t_end,
                "step": args.step, "nodes": args.nodes}
     return build_report("simulate", file_digest(args.input), options,
@@ -342,7 +344,10 @@ def main(argv=None) -> int:
     _configure_logging()
     log.debug("command %s", args.command)
     try:
-        report = args.handler(args)
+        text = render_json(args.handler(args))
+        out_report = getattr(args, "out", None)
+        if out_report and args.command not in ("synthesize", "simulate"):
+            write_text(out_report, text + "\n")
     except InputFormatError as exc:
         print(f"gradflow: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -356,12 +361,7 @@ def main(argv=None) -> int:
         print(f"gradflow: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    text = render_json(report)
     print(text)
-    out_report = getattr(args, "out", None)
-    if out_report and args.command not in ("synthesize", "simulate"):
-        with open(out_report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return EXIT_OK
 
 

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlowOverflowError, NonFiniteStateError, SingularStepError
-from .spectral import Diagonalisation, as_square_matrix, as_vector, operator_norm
+from .errors import NonFiniteStateError, SingularStepError
+from .spectral import (Diagonalisation, as_square_matrix, as_vector, guarded_exp,
+                       operator_norm)
 from .synthesis import CanonicalGradientSystem
-
-#: Largest exponent argument before exp overflows in double precision (~709).
-EXP_GUARD = 700.0
 
 
 class Integrator(str, enum.Enum):
@@ -68,16 +66,13 @@ def exact_flow(diag: Diagonalisation, x0, t: float) -> np.ndarray:
     Raises :class:`FlowOverflowError` when some ``t * w_i`` exceeds the
     double-precision exponential range; rescale time in that case.
     """
-    exponents = t * diag.eigenvalues
-    if np.max(exponents) > EXP_GUARD:
-        raise FlowOverflowError(
-            f"t * eigenvalue = {np.max(exponents):.3g} exceeds the exp range")
+    growth = guarded_exp(t * diag.eigenvalues)
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
     points = np.atleast_2d(x0)
     if points.shape[1] != diag.dim:
         raise ValueError("state dimension does not match the diagonalisation")
-    modes = (points @ diag.transform.T) * np.exp(exponents)
+    modes = (points @ diag.transform.T) * growth
     out = modes @ diag.eigenvectors.T
     return out[0] if single else out
 
@@ -93,11 +88,7 @@ def exact_trajectory(diag: Diagonalisation, x0, t_end: float,
     if t_end == 0.0:
         return Trajectory(np.zeros(1), x0[None, :], Integrator.EXACT)
     times = np.linspace(0.0, t_end, max(nodes, 2))
-    exponents = np.outer(times, diag.eigenvalues)
-    if np.max(exponents) > EXP_GUARD:
-        raise FlowOverflowError(
-            f"t * eigenvalue = {np.max(exponents):.3g} exceeds the exp range")
-    modes = np.exp(exponents) * (diag.transform @ x0)
+    modes = guarded_exp(np.outer(times, diag.eigenvalues)) * (diag.transform @ x0)
     states = modes @ diag.eigenvectors.T
     states[0] = x0
     return Trajectory(times, states, Integrator.EXACT)

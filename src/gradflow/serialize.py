@@ -145,6 +145,8 @@ def _load_json(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -207,8 +209,16 @@ def system_document(matrix: np.ndarray, diag: Diagonalisation,
     }
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``; an unwritable path is an input error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
+
+
 def save_system_document(path, document: dict) -> None:
-    Path(path).write_text(render_json(document) + "\n", encoding="utf-8")
+    write_text(path, render_json(document) + "\n")
 
 
 def load_system_document(path):
@@ -241,7 +251,7 @@ def write_trajectory_csv(path, trajectory) -> None:
     lines = ["t," + ",".join(f"x{i + 1}" for i in range(dim))]
     table = np.column_stack((trajectory.times, trajectory.states))
     lines.extend(_float_row(row, ",") for row in table)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def build_report(command: str, inputs_digest: str, options: dict,

@@ -16,10 +16,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotDiagonalisableError, NotSPDError
+from .errors import FlowOverflowError, NotDiagonalisableError, NotSPDError
 
 #: Default relative tolerance: double precision with headroom for d up to ~200.
 DEFAULT_TOL = 1e-9
+
+#: Largest exponent argument before exp overflows in double precision (~709).
+EXP_GUARD = 700.0
+
+
+def guarded_exp(exponents) -> np.ndarray:
+    """``exp(exponents)``; raises :class:`FlowOverflowError` past ``EXP_GUARD``."""
+    if np.max(exponents) > EXP_GUARD:
+        raise FlowOverflowError(
+            f"t * eigenvalue = {np.max(exponents):.3g} exceeds the exp range")
+    return np.exp(exponents)
 
 
 def as_square_matrix(a) -> np.ndarray:

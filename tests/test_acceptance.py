@@ -171,7 +171,7 @@ def test_criterion_08_geodesic_convexity(synthesized):
                        + abs(lam) * diag.transform_norm ** 2)
         worst = max(worst, defect / (1e-9 * scale))
     ok = worst <= 1.0
-    _line(8, ok, f"1000 pairs x 13 thetas per system, worst defect at "
+    _line(8, ok, f"1000 pairs per system, every theta in [0, 1], worst defect at "
                  f"{worst:.3e} of the 1e-9 scale budget")
     assert worst <= 1.0
 

@@ -377,6 +377,43 @@ def test_large_norm_transform_exits_5_without_traceback(workdir, capsys, argv):
     code, report, err = run(capsys, *argv)
     assert code == 5 and report is None
     assert "numeric failure" in err and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_ill_conditioned_transform_exits_5_without_out_file(workdir, capsys, rng):
+    tmp_path, write = workdir
+    planted = make_diagonalisation(rng, 6, cond=1e6)
+    matrix = write("a.json", {"dim": 6, "rows": planted.reconstruct().tolist()})
+    system = tmp_path / "system.json"
+    code, report, err = run(capsys, "synthesize", matrix, "--out", str(system))
+    assert code == 5 and report is None
+    assert "transform too ill-conditioned" in err and "Traceback" not in err
+    assert not system.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{binary}"),
+    ("verify", "{binary}"),
+    ("markov", "{binary}", "validate"),
+    ("analyze", "{matrix}", "--out", "{missing}/r.json"),
+    ("synthesize", "{matrix}", "--out", "{missing}/s.json"),
+    ("convexity", "{system}", "--samples", "10", "--out", "{missing}/r.json"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1",
+     "--out", "{missing}/t.csv"),
+])
+def test_undecodable_input_and_unwritable_out_exit_2(workdir, capsys, argv):
+    tmp_path, write = workdir
+    matrix = write("a.json", THREE_STATE_DOC)
+    system = str(tmp_path / "system.json")
+    assert main(["synthesize", matrix, "--out", system]) == 0
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b'\xff\xfe{"dim": 1, "rows": [[0.0]]}')
+    capsys.readouterr()
+    argv = [a.format(matrix=matrix, system=system, binary=binary,
+                     missing=tmp_path / "missing") for a in argv]
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report is None
+    assert "gradflow: parse error" in err and "Traceback" not in err
 
 
 FACTORISATIONS = ("eig", "eigvalsh", "svd", "inv", "solve", "cholesky")
@@ -386,7 +423,7 @@ FACTORISATIONS = ("eig", "eigvalsh", "svd", "inv", "solve", "cholesky")
     ("analyze", {"eig": 1, "svd": 1, "inv": 1}),
     ("synthesize", {"eig": 1, "svd": 2, "eigvalsh": 2, "inv": 2}),
     ("verify", {"svd": 1, "eigvalsh": 1}),
-    ("convexity", {"svd": 1, "eigvalsh": 1, "inv": 1}),
+    ("convexity", {"svd": 1, "eigvalsh": 1}),
     ("simulate-pair", {"svd": 1, "eigvalsh": 1, "inv": 1}),
     ("simulate-rk4", {"svd": 2, "eigvalsh": 1}),
     ("simulate-mm", {"svd": 1, "eigvalsh": 1, "inv": 2, "cholesky": 1}),

@@ -10,7 +10,6 @@ from gradflow import (
     check_geodesic_convexity,
     check_strong_monotonicity,
     convexity_constants,
-    default_theta_grid,
     essential_range_check,
     exact_flow,
     metric_distance,
@@ -20,6 +19,8 @@ from gradflow import (
     reversible_three_state,
     synthesize_canonical,
 )
+
+from gradflow.errors import FlowOverflowError
 
 from conftest import make_diagonalisation
 
@@ -126,20 +127,11 @@ def test_monotonicity_detects_overstated_modulus():
     assert violation > 0.1
 
 
-def test_geodesic_defect_vanishes_at_endpoints(rng):
-    diag = make_diagonalisation(rng, 3)
-    gs = synthesize_canonical(diag)
-    lam = convexity_constants(diag).geodesic_lambda
-    assert check_geodesic_convexity(gs, diag, lam, samples=200,
-                                    theta_grid=[0.0, 1.0], seed=3) == 0.0
-
-
 def test_geodesic_equality_case_at_midpoint():
     # identity transform, unit curvature: the inequality is tight for modulus 1
     diag = Diagonalisation(np.eye(2), np.array([-1.0, -1.0]))
     gs = synthesize_canonical(diag)
-    defect = check_geodesic_convexity(gs, diag, 1.0, samples=500,
-                                      theta_grid=[0.5], seed=4)
+    defect = check_geodesic_convexity(gs, diag, 1.0, samples=500, seed=4)
     assert defect <= 1e-12
 
 
@@ -161,11 +153,60 @@ def test_geodesic_certificate_for_random_systems(rng):
                 <= 1e-9 * max(scale, 1.0))
 
 
-def test_default_theta_grid_probes_midpoint():
-    grid = default_theta_grid()
-    assert grid.size == 13
-    assert grid[0] == 0.0 and grid[10] == 1.0
-    assert 0.499 in grid and 0.501 in grid
+def _certificate_pairs(seed, count, dim):
+    """The certificates' draws: two batches of points uniform in the unit ball."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(2):
+        u = rng.standard_normal((count, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        points.append(rng.uniform(size=(count, 1)) ** (1.0 / dim) * u)
+    return points
+
+
+def _overstated_modulus(diag):
+    lam = convexity_constants(diag).geodesic_lambda
+    over = lam + 1.0 + abs(lam)
+    assert over > -np.max(diag.eigenvalues)  # above the sharp modulus -max(w)
+    return over
+
+
+@pytest.mark.parametrize("dim", [3, 6, 50])
+def test_geodesic_certificate_flags_overstated_modulus(rng, dim):
+    diag = make_diagonalisation(rng, dim, low=-1.0, high=1.0)
+    gs = synthesize_canonical(diag)
+    over = _overstated_modulus(diag)
+    defect = check_geodesic_convexity(gs, diag, over, samples=200, seed=11)
+    # energy-based reference at theta = 1/2, where theta (1 - theta) peaks
+    x1, x2 = _certificate_pairs(11, 200, dim)
+    dist_sq = np.sum(((x2 - x1) @ diag.transform.T) ** 2, axis=1)
+    bound = 0.5 * gs.energy(x1) + 0.5 * gs.energy(x2) - over / 8.0 * dist_sq
+    reference = np.max(gs.energy(0.5 * x1 + 0.5 * x2) - bound)
+    assert defect > 0.0
+    assert defect == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [3, 6, 50])
+def test_contraction_certificate_flags_overstated_modulus(rng, dim):
+    diag = make_diagonalisation(rng, dim, low=-1.0, high=1.0)
+    over = _overstated_modulus(diag)
+    times = (0.1, 1.0, 10.0)
+    defect = check_contraction(diag, over, pairs=200, times=times, seed=12)
+    # reference: propagate both ends of every pair with the exact flow
+    x1, x2 = _certificate_pairs(12, 200, dim)
+    d0 = np.linalg.norm((x2 - x1) @ diag.transform.T, axis=1)
+    reference = max(
+        np.max(np.linalg.norm((exact_flow(diag, x2, t) - exact_flow(diag, x1, t))
+                              @ diag.transform.T, axis=1) - np.exp(-over * t) * d0)
+        for t in times)
+    assert defect > 0.0
+    assert defect == pytest.approx(reference, rel=1e-12)
+
+
+def test_contraction_refuses_exponent_beyond_double_range():
+    diag = Diagonalisation(np.eye(2), np.array([-1.0, 80.0]))
+    with pytest.raises(FlowOverflowError):
+        check_contraction(diag, 0.0, pairs=10, times=(1.0, 10.0), seed=13)
 
 
 def test_contraction_tight_for_diagonal_flow():
