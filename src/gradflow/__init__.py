@@ -52,7 +52,6 @@ from .spectral import (
     SpectralReport,
     inspect_spectrum,
     is_spd,
-    operator_norm,
     real_diagonalise,
     symmetric_sqrt,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "minimizing_movement_flow",
     "nonreversible_three_state",
     "nonreversible_three_state_system",
-    "operator_norm",
     "real_diagonalise",
     "recover_diagonalisation",
     "relative_entropy",

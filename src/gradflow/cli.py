@@ -143,8 +143,10 @@ def cmd_convexity(args) -> dict:
         gs, constants.flat_lambda, samples=args.samples, seed=args.seed)
     geo = geometry.check_geodesic_convexity(
         gs, diag, constants.geodesic_lambda, samples=args.samples, seed=args.seed)
+    unit = float(np.max(np.abs(diag.eigenvalues))) or 1.0  # so A's scale drops out
     contraction = geometry.check_contraction(
-        diag, constants.geodesic_lambda, pairs=args.samples, seed=args.seed)
+        diag, constants.geodesic_lambda, pairs=args.samples,
+        times=(0.1 / unit, 1.0 / unit, 10.0 / unit), seed=args.seed)
     results = {
         "sup_eigenvalue": constants.sup_eigenvalue,
         "flat_lambda": constants.flat_lambda,
@@ -271,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed=False):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="relative tolerance (default 1e-9)")
+        p.add_argument("--tol", type=_bounded(float, 0.0, inclusive=False),
+                       default=DEFAULT_TOL, help="relative tolerance (default 1e-9)")
         if seed:
             p.add_argument("--samples", type=_positive_int, default=1000,
                            help="number of sampled checks (default 1000)")

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError, SingularStepError
-from .spectral import (Diagonalisation, as_square_matrix, as_vector, guarded_exp,
-                       operator_norm)
+from .spectral import Diagonalisation, as_square_matrix, as_vector, guarded_exp
 from .synthesis import CanonicalGradientSystem
 
 
@@ -144,15 +143,15 @@ def rk4_flow(a, x0, t_end: float, step: float) -> Trajectory:
     step of size ``h`` is the fixed matrix polynomial
     ``I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``; it is formed once (twice
     with a remainder step) and each step is one matrix-vector product.
-    Emits a RuntimeWarning when ``step * operator_norm(a) > 1``
-    (accuracy/stability advisory, not an error) and raises
-    :class:`NonFiniteStateError` if the state blows up.
+    Emits a RuntimeWarning when ``step * norm(a) > 1`` in the Frobenius norm,
+    never below the operator norm (an accuracy/stability advisory, not an
+    error), and raises :class:`NonFiniteStateError` if the state blows up.
     """
     a = as_square_matrix(a)
     x0 = as_vector(x0, a.shape[0])
     times, last_step = _step_times(t_end, step)
-    if step * operator_norm(a) > 1.0:
-        warnings.warn("step * operator_norm(a) > 1: RK4 may be inaccurate "
+    if step * np.linalg.norm(a) > 1.0:
+        warnings.warn("step * norm(a) > 1: RK4 may be inaccurate "
                       "or unstable", RuntimeWarning, stacklevel=2)
     eye = np.eye(a.shape[0])
 

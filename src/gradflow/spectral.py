@@ -1,5 +1,5 @@
 """Dense spectral kernel: real-diagonalisability tests, symmetric square
-roots, SPD checks, and operator norms.
+roots and SPD checks.
 
 Everything operates on real, dense, square numpy arrays.  A matrix ``a``
 counts as real diagonalisable when ``a = inv(t) @ np.diag(w) @ t`` for an
@@ -167,18 +167,26 @@ def _realify_conjugate_pairs(values: np.ndarray, vectors: np.ndarray):
     return values.real.copy(), out
 
 
+def _is_symmetric(m: np.ndarray, tol: float) -> bool:
+    """``|m - m.T| <= tol |m|`` in the Frobenius norm."""
+    return bool(np.linalg.norm(m - m.T) <= tol * np.linalg.norm(m))
+
+
 def _decompose(a: np.ndarray, tol: float):
-    """The report, and ``(transform, eigenvalues, residual)`` or ``None``."""
+    """The report, and the certified :class:`Diagonalisation` or ``None``.
+
+    The record's one SVD of ``transform = inv(eigenbasis)`` decides
+    ``Defective`` (``condition * tol >= 1``) and gives ``condition``; so do a
+    singular eigenbasis and a residual above ``tol * norm(a)`` or nan."""
     a = as_square_matrix(a)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     dim = a.shape[0]
     scale = float(np.linalg.norm(a))
-    if scale == 0.0:
+    if scale == 0.0:  # every basis diagonalises 0: keep the identity
         report = SpectralReport(np.zeros(dim, dtype=complex), True, FailureKind.NONE, 1.0)
-        return report, (np.eye(dim), np.zeros(dim), 0.0)
-
-    if np.linalg.norm(a - a.T) <= tol * scale:
+        return report, Diagonalisation(np.eye(dim), np.zeros(dim))
+    if _is_symmetric(a, tol):
         # Symmetric input: take the orthogonal eigenbasis so the transform
         # conditioning is 1 up to rounding.
         values, vectors = np.linalg.eigh((a + a.T) / 2.0)
@@ -194,19 +202,20 @@ def _decompose(a: np.ndarray, tol: float):
             values = spectrum.real.copy()
 
     values, vectors = canonical_eigenbasis(values, vectors)
-    spectrum_sorted = np.sort_complex(np.asarray(spectrum))
-    singular = np.linalg.svd(vectors, compute_uv=False)
-    if singular[-1] <= tol * singular[0]:
-        return SpectralReport(spectrum_sorted, False, FailureKind.DEFECTIVE), None
-
-    transform = np.linalg.inv(vectors)
-    residual = float(np.linalg.norm(a - (vectors * values) @ transform))
-    if residual > tol * scale:
-        # Decomposition exists numerically but cannot be certified at tol.
-        return SpectralReport(spectrum_sorted, False, FailureKind.DEFECTIVE), None
-    condition = float(singular[0] / singular[-1])
-    report = SpectralReport(values.astype(complex), True, FailureKind.NONE, condition)
-    return report, (transform, values, residual)
+    defective = SpectralReport(np.sort_complex(spectrum), False, FailureKind.DEFECTIVE)
+    try:
+        transform = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:  # exactly singular eigenbasis
+        return defective, None
+    with np.errstate(all="ignore"):
+        residual = float(np.linalg.norm(a - (vectors * values) @ transform))
+    if not residual <= tol * scale:
+        return defective, None
+    diag = Diagonalisation(transform, values, residual)
+    condition = diag.transform_norm * diag.inverse_norm
+    if condition * tol >= 1.0:
+        return defective, None
+    return SpectralReport(values.astype(complex), True, FailureKind.NONE, condition), diag
 
 
 def inspect_spectrum(a, tol: float = DEFAULT_TOL) -> SpectralReport:
@@ -233,27 +242,27 @@ def real_diagonalise(a, tol: float = DEFAULT_TOL) -> Diagonalisation:
         (ComplexSpectrum) or the eigenvector basis is numerically singular
         (Defective).  The exception carries the :class:`SpectralReport`.
     """
-    report, factors = _decompose(a, tol)
-    if factors is None:
+    report, diag = _decompose(a, tol)
+    if diag is None:
         raise NotDiagonalisableError(report)
-    return Diagonalisation(*factors)
+    return diag
+
+
+def _spd_eigh(k, tol: float):
+    """``eigh`` of symmetric ``k`` if its smallest eigenvalue exceeds ``tol``
+    times the largest magnitude, else ``None`` (also for asymmetric ``k``)."""
+    k = as_square_matrix(k)
+    if not _is_symmetric(k, tol):
+        return None
+    values, vectors = np.linalg.eigh((k + k.T) / 2.0)
+    if not values[0] > tol * np.max(np.abs(values)):
+        return None
+    return values, vectors
 
 
 def is_spd(k, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``k`` is symmetric and positive definite at tolerance ``tol``.
-
-    Symmetry is checked relative to the Frobenius norm; definiteness
-    requires the smallest eigenvalue of the symmetrized matrix to exceed
-    ``tol`` times the largest eigenvalue magnitude.
-    """
-    k = as_square_matrix(k)
-    scale = float(np.linalg.norm(k))
-    if scale == 0.0:
-        return False
-    if np.linalg.norm(k - k.T) > tol * scale:
-        return False
-    eigs = np.linalg.eigvalsh((k + k.T) / 2.0)
-    return bool(eigs[0] > tol * np.max(np.abs(eigs)))
+    """True iff ``k`` is symmetric and positive definite at tolerance ``tol``."""
+    return _spd_eigh(k, tol) is not None
 
 
 def symmetric_sqrt(k, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -261,15 +270,9 @@ def symmetric_sqrt(k, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Raises :class:`NotSPDError` when ``k`` fails :func:`is_spd`.
     """
-    k = as_square_matrix(k)
-    if not is_spd(k, tol):
+    factors = _spd_eigh(k, tol)
+    if factors is None:
         raise NotSPDError("matrix is not symmetric positive definite")
-    values, vectors = np.linalg.eigh((k + k.T) / 2.0)
+    values, vectors = factors
     root = (vectors * np.sqrt(values)) @ vectors.T
     return (root + root.T) / 2.0
-
-
-def operator_norm(m) -> float:
-    """Largest singular value of ``m`` (the Euclidean operator norm)."""
-    m = as_square_matrix(m)
-    return float(np.linalg.svd(m, compute_uv=False)[0])

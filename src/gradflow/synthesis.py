@@ -29,10 +29,10 @@ from .errors import (
 from .spectral import (
     DEFAULT_TOL,
     Diagonalisation,
+    _is_symmetric,
     as_square_matrix,
     as_vector,
     canonical_eigenbasis,
-    is_spd,
     symmetric_sqrt,
 )
 
@@ -57,14 +57,11 @@ class CanonicalGradientSystem:
         eq = as_vector(self.equilibrium, k.shape[0])
         if b.shape != k.shape:
             raise ValueError("onsager and hessian dimensions disagree")
-        k_scale = np.linalg.norm(k)
-        if k_scale > 0.0 and np.linalg.norm(k - k.T) > DEFAULT_TOL * k_scale:
-            raise ValueError("onsager operator must be symmetric")
-        b_scale = np.linalg.norm(b)
-        if b_scale > 0.0 and np.linalg.norm(b - b.T) > DEFAULT_TOL * b_scale:
-            raise ValueError("hessian must be symmetric")
+        for name, m in (("onsager operator", k), ("hessian", b)):
+            if not _is_symmetric(m, DEFAULT_TOL):
+                raise ValueError(f"{name} must be symmetric")
         eigs = np.linalg.eigvalsh((k + k.T) / 2.0)
-        if eigs.size and eigs[0] < -DEFAULT_TOL * max(np.max(np.abs(eigs)), 1e-300):
+        if eigs[0] < -DEFAULT_TOL * np.max(np.abs(eigs)):
             raise ValueError("onsager operator must be positive semi-definite")
         object.__setattr__(self, "onsager", k)
         object.__setattr__(self, "hessian", b)
@@ -114,12 +111,12 @@ class GeneralisedSystemProbe:
             raise ValueError("dim must be positive")
         eq = as_vector(self.equilibrium, self.dim)
         object.__setattr__(self, "equilibrium", eq)
-        if self.energy_hessian is not None:
-            object.__setattr__(self, "energy_hessian",
-                               as_square_matrix(self.energy_hessian))
-        if self.dissipation_hessian is not None:
-            object.__setattr__(self, "dissipation_hessian",
-                               as_square_matrix(self.dissipation_hessian))
+        for name in ("energy_hessian", "dissipation_hessian"):
+            if getattr(self, name) is not None:
+                m = as_square_matrix(getattr(self, name))
+                if m.shape[0] != self.dim:
+                    raise ValueError(f"{name} must be {self.dim} x {self.dim}")
+                object.__setattr__(self, name, m)
         zero = np.zeros(self.dim)
         shift = 0.01 * (1.0 + np.max(np.abs(eq)))
         for point in (eq, eq + shift):
@@ -143,19 +140,20 @@ def synthesize_canonical(diag: Diagonalisation, tol: float = DEFAULT_TOL) -> Can
     Returns the system with ``onsager = inv(t) inv(t).T``,
     ``hessian = -t.T diag(w) t`` and equilibrium 0, which satisfies
     ``a + onsager @ hessian = 0`` for the matrix that produced ``diag``.
-    Raises :class:`IllConditionedError` when the transform is so
-    ill-conditioned that the Onsager operator fails the SPD check at
-    working precision.
+    Raises :class:`IllConditionedError` when the Onsager operator, with
+    eigenvalues ``1 / sigma_i(t)^2``, fails ``spectral.is_spd`` at ``tol``,
+    that is when ``cond(t)^2 * tol >= 1`` (read off the record's norms).
     """
+    condition = diag.transform_norm * diag.inverse_norm
+    if condition * condition * tol >= 1.0:
+        raise IllConditionedError(
+            "transform too ill-conditioned: synthesized Onsager operator "
+            "is not numerically SPD")
     inv_t = diag.eigenvectors
     onsager = inv_t @ inv_t.T
     onsager = (onsager + onsager.T) / 2.0
     hessian = -(diag.transform.T * diag.eigenvalues) @ diag.transform
     hessian = (hessian + hessian.T) / 2.0
-    if not is_spd(onsager, tol):
-        raise IllConditionedError(
-            "transform too ill-conditioned: synthesized Onsager operator "
-            "is not numerically SPD")
     return CanonicalGradientSystem(onsager, hessian, np.zeros(diag.dim))
 
 
@@ -187,10 +185,8 @@ def recover_diagonalisation(gs: CanonicalGradientSystem, a,
         raise FlowMismatchError("matrix does not satisfy a = -onsager @ hessian")
     root = symmetric_sqrt(gs.onsager, tol)
     transformed = np.linalg.solve(root, a @ root)
-    t_scale = max(np.linalg.norm(transformed), 1e-300)
-    if np.linalg.norm(transformed - transformed.T) > tol * t_scale:
-        raise AsymmetryDefectError(
-            "square-root conjugation of the matrix is not symmetric")
+    if not _is_symmetric(transformed, tol):
+        raise AsymmetryDefectError("square-root conjugation of the matrix is not symmetric")
 
     eigenvalues, basis = np.linalg.eigh((transformed + transformed.T) / 2.0)
     # Columns of root @ basis are eigenvectors of a.
@@ -219,12 +215,14 @@ def linearise_generalised(probe: GeneralisedSystemProbe, step: float | None = No
     force and the energy curvature is the Hessian of the energy, both taken
     from the probe when supplied and otherwise by central finite differences
     with ``step`` (default ``1e-5 * (1 + |equilibrium|)``).  Both matrices
-    are symmetrized before validation.
+    are symmetrized and validated by :class:`CanonicalGradientSystem`;
+    ``tol`` bounds only the rest check.
 
     Raises :class:`NotCriticalError` when the equilibrium does not rest
     (the dissipation gradient at minus the energy gradient is nonzero) and
-    :class:`NotSPDError` when the mobility has a negative direction, which
-    contradicts convexity of the dissipation potential.
+    :class:`NotSPDError` when the mobility fails the system's
+    semi-definiteness check, which contradicts convexity of the
+    dissipation potential.
     """
     eq = probe.equilibrium
     if step is None:
@@ -250,11 +248,11 @@ def linearise_generalised(probe: GeneralisedSystemProbe, step: float | None = No
 
     mobility = (mobility + mobility.T) / 2.0
     curvature = (curvature + curvature.T) / 2.0
-    eigs = np.linalg.eigvalsh(mobility)
-    if eigs[0] < -tol * max(np.max(np.abs(eigs)), 1e-300):
+    try:
+        return CanonicalGradientSystem(mobility, curvature, eq)
+    except ValueError as exc:  # the hessians are symmetric and dim x dim here
         raise NotSPDError("mobility has a negative direction; dissipation "
-                          "potential is not convex")
-    return CanonicalGradientSystem(mobility, curvature, eq)
+                          "potential is not convex") from exc
 
 
 def verify_flow_identity(a, gs: CanonicalGradientSystem) -> FlowResidualReport:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,21 @@ def make_diagonalisation(rng, dim, cond=10.0, low=-5.0, high=1.0, min_gap=0.0):
         if dim == 1 or min_gap == 0.0 or np.min(np.diff(eigenvalues)) >= min_gap:
             break
     return Diagonalisation(transform, eigenvalues)
+
+
+FACTORISATIONS = ("eig", "eigh", "eigvalsh", "svd", "inv", "solve", "cholesky")
+
+
+@pytest.fixture
+def linalg_counts(monkeypatch):
+    """Counter of the ``numpy.linalg`` factorisations called from now on."""
+    counts = Counter()
+    for name in FACTORISATIONS:
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
 
 
 @pytest.fixture

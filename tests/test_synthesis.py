@@ -12,6 +12,7 @@ from gradflow import (
     nonreversible_three_state_system,
     real_diagonalise,
     recover_diagonalisation,
+    symmetric_sqrt,
     synthesize_canonical,
     verify_flow_identity,
 )
@@ -175,12 +176,32 @@ def test_linearise_rejects_non_equilibrium():
 
 
 def test_linearise_rejects_indefinite_mobility():
-    probe = GeneralisedSystemProbe(
+    # None: finite differences of diag(1, -1).  diag(1, -1e-7) has relative
+    # eigenvalue -1e-7, inside linearise's own tol 1e-6, so it once passed
+    # that check and then failed the system's with a bare ValueError.
+    for mobility in (None, np.diag([1.0, -1e-7])):
+        probe = GeneralisedSystemProbe(
+            2, np.zeros(2),
+            energy_grad=lambda x: np.asarray(x, dtype=float),
+            dissipation_grad=lambda x, force: np.array([force[0], -force[1]]),
+            dissipation_hessian=mobility)
+        with pytest.raises(NotSPDError):
+            linearise_generalised(probe)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: symmetric_sqrt(np.diag([4.0, 9.0])), {"eigh": 1}),
+    (lambda: linearise_generalised(GeneralisedSystemProbe(
         2, np.zeros(2),
         energy_grad=lambda x: np.asarray(x, dtype=float),
-        dissipation_grad=lambda x, force: np.array([force[0], -force[1]]))
-    with pytest.raises(NotSPDError):
-        linearise_generalised(probe)
+        dissipation_grad=lambda x, force: np.asarray(force, dtype=float))),
+     {"eigvalsh": 1}),
+], ids=["symmetric_sqrt", "linearise_generalised"])
+def test_spd_checks_factorise_once(linalg_counts, call, expected):
+    """The square root reuses the eigh of its SPD test; linearisation leaves
+    the semi-definiteness check to :class:`CanonicalGradientSystem`."""
+    call()
+    assert dict(linalg_counts) == expected
 
 
 def test_linearise_constant_energy_probe():
@@ -190,6 +211,16 @@ def test_linearise_constant_energy_probe():
         dissipation_grad=lambda x, force: np.asarray(force, dtype=float))
     lin = linearise_generalised(probe)
     assert np.allclose(lin.hessian, 0.0, atol=1e-12)
+
+
+def test_probe_rejects_hessian_of_wrong_dimension():
+    # else linearise_generalised would report the mismatch as NotSPDError
+    with pytest.raises(ValueError, match="dissipation_hessian must be 2 x 2"):
+        GeneralisedSystemProbe(
+            2, np.zeros(2),
+            energy_grad=lambda x: np.asarray(x, dtype=float),
+            dissipation_grad=lambda x, force: np.asarray(force, dtype=float),
+            dissipation_hessian=np.eye(3))
 
 
 def test_probe_rejects_nonvanishing_rest_velocity():
