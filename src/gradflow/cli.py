@@ -346,7 +346,8 @@ def main(argv=None) -> int:
     _configure_logging()
     log.debug("command %s", args.command)
     try:
-        text = render_json(args.handler(args))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):  # so exit 5
+            text = render_json(args.handler(args))
         out_report = getattr(args, "out", None)
         if out_report and args.command not in ("synthesize", "simulate"):
             write_text(out_report, text + "\n")
@@ -359,7 +360,7 @@ def main(argv=None) -> int:
     except GradFlowError as exc:
         print(f"gradflow: {_FAILURE_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"gradflow: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

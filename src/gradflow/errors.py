@@ -76,7 +76,9 @@ class ColumnSumError(GradFlowError):
 
 
 class DegenerateKernelError(GradFlowError):
-    """Generator kernel is not one-dimensional."""
+    """Generator kernel is not one-dimensional (reducible chain)."""
+
+    exit_code = 4
 
 
 class NonPositiveKernelError(GradFlowError):

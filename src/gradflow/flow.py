@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError, SingularStepError
-from .spectral import Diagonalisation, as_square_matrix, as_vector, guarded_exp
+from .spectral import Diagonalisation, _unit_scale, as_square_matrix, as_vector, guarded_exp
 from .synthesis import CanonicalGradientSystem
 
 
@@ -150,7 +150,7 @@ def rk4_flow(a, x0, t_end: float, step: float) -> Trajectory:
     a = as_square_matrix(a)
     x0 = as_vector(x0, a.shape[0])
     times, last_step = _step_times(t_end, step)
-    if step * np.linalg.norm(a) > 1.0:
+    if np.linalg.norm(step * a) > 1.0:
         warnings.warn("step * norm(a) > 1: RK4 may be inaccurate "
                       "or unstable", RuntimeWarning, stacklevel=2)
     eye = np.eye(a.shape[0])
@@ -233,21 +233,23 @@ class DissipationReport:
 def dissipation_audit(gs: CanonicalGradientSystem, traj: Trajectory) -> DissipationReport:
     """Evaluate the energy along a trajectory and audit its decay.
 
-    ``monotone`` is True when the energy never increases by more than
-    ``1e-9 * scale`` between consecutive nodes, with scale the largest
-    energy magnitude (floored at 1).  The defect is the worst interior-node
-    mismatch of the chain rule ``dF/dt = -<grad, onsager grad>`` with the
-    time derivative taken by central differences, so O(dt) is expected for
-    sampled trajectories.
+    ``monotone`` is True when the energy never rises between consecutive
+    nodes by more than ``1e-9 * norm(hessian) * max_k |x_k - eq|^2``, a
+    bound on ``2 |F(x_k)|`` (Frobenius norm, unit-scaled as in ``spectral``).
+    The defect is the worst interior-node mismatch of the chain rule
+    ``dF/dt = -<grad, onsager grad>`` with the time derivative taken by
+    central differences, so O(dt) is expected for sampled trajectories.
     """
     energies = np.atleast_1d(gs.energy(traj.states))
-    scale = max(1.0, float(np.max(np.abs(energies))))
-    monotone = bool(np.all(np.diff(energies) <= 1e-9 * scale))
+    delta = traj.states - gs.equilibrium
+    hessian, e = _unit_scale(gs.hessian)
+    bound = np.linalg.norm(hessian) * np.max(np.sum(delta * delta, axis=1))
+    monotone = bool(np.all(np.ldexp(np.diff(energies), -e) <= 1e-9 * bound))
     if energies.size < 3:
         return DissipationReport(energies, monotone, 0.0)
     dts = traj.times[2:] - traj.times[:-2]
     rate = (energies[2:] - energies[:-2]) / dts
-    grads = (traj.states[1:-1] - gs.equilibrium) @ gs.hessian.T
+    grads = delta[1:-1] @ gs.hessian.T
     dissipation = np.sum((grads @ gs.onsager) * grads, axis=1)
     defect = float(np.max(np.abs(rate + dissipation)))
     return DissipationReport(energies, monotone, defect)

@@ -158,10 +158,11 @@ def check_contraction(diag: Diagonalisation, geodesic_lambda: float,
 
 def essential_range_check(diag: Diagonalisation, spectrum_bound: float = 0.0,
                           tol: float = DEFAULT_TOL) -> bool:
-    """True iff every eigenvalue is at most ``spectrum_bound`` (tolerance-scaled).
+    """True iff every eigenvalue is at most ``spectrum_bound`` plus ``tol``
+    times the larger of ``|spectrum_bound|`` and ``max|w|``.
 
     With the bound 0 this encodes the finite-measure conclusion that a
     non-positive spectrum forces non-positive multipliers everywhere.
     """
-    scale = max(1.0, abs(spectrum_bound), float(np.max(np.abs(diag.eigenvalues))))
+    scale = max(abs(spectrum_bound), float(np.max(np.abs(diag.eigenvalues))))
     return bool(np.max(diag.eigenvalues) <= spectrum_bound + tol * scale)

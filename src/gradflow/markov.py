@@ -22,7 +22,7 @@ from .errors import (
     NonPositiveStateError,
     NotReversibleError,
 )
-from .spectral import DEFAULT_TOL, as_square_matrix, as_vector
+from .spectral import DEFAULT_TOL, _is_symmetric, _unit_scale, as_square_matrix, as_vector
 from .synthesis import (
     CanonicalGradientSystem,
     FlowResidualReport,
@@ -56,7 +56,8 @@ class EntropicStructure:
     """Stationary distribution and edge conductances of a reversible chain.
 
     ``weights[i, j] = generator[i, j] * stationary[j]``; detailed balance
-    makes this matrix symmetric, which is required here.
+    makes this matrix symmetric, which is required here (at ``DEFAULT_TOL``,
+    see ``spectral._is_symmetric``).
     """
 
     stationary: np.ndarray
@@ -71,8 +72,7 @@ class EntropicStructure:
             raise ValueError("stationary distribution must be strictly positive")
         if abs(pi.sum() - 1.0) > 1e-9:
             raise ValueError("stationary distribution must sum to 1")
-        scale = max(float(np.max(np.abs(w))), 1e-300)
-        if np.max(np.abs(w - w.T)) > 1e-9 * scale:
+        if not _is_symmetric(w, DEFAULT_TOL):
             raise ValueError("weights must be symmetric (detailed balance)")
         object.__setattr__(self, "stationary", pi)
         object.__setattr__(self, "weights", w)
@@ -90,27 +90,28 @@ class EntropicStructure:
             raise NotReversibleError(
                 "chain is not reversible; no entropic structure exists")
         weights = gen.matrix * pi
-        return cls(pi, (weights + weights.T) / 2.0)
+        return cls(pi, weights / 2.0 + weights.T / 2.0)
 
 
 def validate_generator(a, tol: float = DEFAULT_TOL) -> GeneratorMatrix:
     """Check the transposed-generator invariants and wrap the matrix.
 
     Off-diagonal entries must be non-negative and every column must sum to
-    zero (both at ``tol`` scaled by the largest entry magnitude), which is
-    what makes the flow preserve non-negativity and total probability.
+    zero (both at ``tol`` scaled by the largest entry magnitude, taken on
+    the copy of ``spectral._unit_scale``), which is what makes the flow
+    preserve non-negativity and total probability.
     """
     a = as_square_matrix(a)
-    scale = float(np.max(np.abs(a)))
-    off = a.copy()
+    off, e = _unit_scale(a)
+    scale = float(np.max(np.abs(off)))
+    sums = off.sum(axis=0)
     np.fill_diagonal(off, 0.0)
     if np.min(off) < -tol * scale:
         i, j = np.unravel_index(np.argmin(off), off.shape)
         raise NegativeRateError(f"negative jump rate {a[i, j]:g} at ({i}, {j})")
-    sums = a.sum(axis=0)
-    if np.max(np.abs(sums)) > tol * max(scale, 1e-300):
+    if np.max(np.abs(sums)) > tol * scale:
         j = int(np.argmax(np.abs(sums)))
-        raise ColumnSumError(f"column {j} sums to {sums[j]:g}, expected 0")
+        raise ColumnSumError(f"column {j} sums to {np.ldexp(sums[j], e):g}, expected 0")
     return GeneratorMatrix(a)
 
 
@@ -123,12 +124,8 @@ def stationary_distribution(gen: GeneratorMatrix,
     :class:`NonPositiveKernelError` when the kernel vector has mixed signs
     or numerically vanishing entries.
     """
-    a = gen.matrix
-    _, s, v_rows = np.linalg.svd(a)
-    if s[0] == 0.0:
-        kernel_dim = gen.dim
-    else:
-        kernel_dim = int(np.sum(s <= tol * s[0]))
+    _, s, v_rows = np.linalg.svd(gen.matrix)
+    kernel_dim = int(np.sum(s <= tol * s[0]))
     if kernel_dim != 1:
         raise DegenerateKernelError(
             f"kernel dimension {kernel_dim}, expected 1 (chain reducible?)")
@@ -143,13 +140,12 @@ def is_reversible(gen: GeneratorMatrix, stationary,
                   tol: float = DEFAULT_TOL) -> bool:
     """Detailed balance in the transposed convention.
 
-    True iff ``|a[i,j] pi[j] - a[j,i] pi[i]|`` is at most ``tol`` times the
-    largest flux magnitude for every pair.
+    True iff the flux matrix ``F[i, j] = a[i, j] pi[j]`` passes
+    ``spectral._is_symmetric``: ``|F - F.T| <= tol |F|`` in the Frobenius
+    norm of its unit-scaled copy.
     """
     pi = as_vector(stationary, gen.dim)
-    flux = gen.matrix * pi
-    scale = max(float(np.max(np.abs(flux))), 1e-300)
-    return bool(np.max(np.abs(flux - flux.T)) <= tol * scale)
+    return _is_symmetric(gen.matrix * pi, tol)
 
 
 def log_mean(a, b):

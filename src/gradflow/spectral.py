@@ -4,8 +4,11 @@ roots and SPD checks.
 Everything operates on real, dense, square numpy arrays.  A matrix ``a``
 counts as real diagonalisable when ``a = inv(t) @ np.diag(w) @ t`` for an
 invertible ``t`` and a real vector ``w``; the columns of ``inv(t)`` are
-then unit eigenvectors of ``a``.  All tolerances are relative to the
-Frobenius norm of the input unless stated otherwise.
+then unit eigenvectors of ``a``.  Every relative tolerance test in the
+library takes its norms (Frobenius unless stated otherwise) on the
+power-of-two-normalised input of :func:`_unit_scale`: exact, safe from
+overflow and underflow, and so the same for ``a`` and ``2**k a``.
+Factorisations read the input as given.
 """
 
 from __future__ import annotations
@@ -138,38 +141,34 @@ def canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray):
     if np.any(norms == 0.0):
         raise ValueError("eigenbasis contains a zero column")
     vectors /= norms
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        nonzero = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nonzero.size and col[nonzero[0]] < 0.0:
-            vectors[:, j] = -col
-    order = sorted(range(values.size), key=lambda j: (values[j], tuple(vectors[:, j])))
+    first = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+    vectors[:, vectors[first, np.arange(values.size)] < 0.0] *= -1.0
+    order = np.lexsort(np.vstack((vectors[::-1], values)))
     return values[order], vectors[:, order]
 
 
 def _realify_conjugate_pairs(values: np.ndarray, vectors: np.ndarray):
-    # Imaginary parts are already certified negligible; conjugate eigenpairs
-    # are replaced by the real and imaginary parts of one member, which span
-    # the same invariant subspace.
+    # Imaginary parts are already certified negligible.  LAPACK lists each
+    # conjugate pair adjacently, positive imaginary part first; the pair is
+    # replaced by the real and imaginary parts of its first member, which
+    # span the same invariant subspace.
     out = vectors.real.copy()
-    used = np.zeros(values.size, dtype=bool)
-    for j in range(values.size):
-        if used[j] or values[j].imag == 0.0:
-            continue
-        partners = [k for k in range(j + 1, values.size)
-                    if not used[k] and values[k].imag != 0.0]
-        if not partners:
-            continue
-        k = min(partners, key=lambda k: abs(values[k] - np.conj(values[j])))
-        out[:, j] = vectors[:, j].real
-        out[:, k] = vectors[:, j].imag
-        used[j] = used[k] = True
-    return values.real.copy(), out
+    first = np.nonzero(values.imag > 0.0)[0]
+    out[:, first + 1] = vectors[:, first].imag
+    return values.real, out
+
+
+def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(m * 2**-e, e)``, ``e`` the exponent of ``max|m|`` (0 for ``m = 0``): the
+    exact copy whose largest entry lies in [0.5, 1)."""
+    e = int(np.frexp(np.max(np.abs(m)))[1])
+    return np.ldexp(m, -e), e
 
 
 def _is_symmetric(m: np.ndarray, tol: float) -> bool:
-    """``|m - m.T| <= tol |m|`` in the Frobenius norm."""
-    return bool(np.linalg.norm(m - m.T) <= tol * np.linalg.norm(m))
+    """``|m - m.T| <= tol |m|`` in the Frobenius norm of the unit-scaled copy."""
+    u, _ = _unit_scale(m)
+    return bool(np.linalg.norm(u - u.T) <= tol * np.linalg.norm(u))
 
 
 def _decompose(a: np.ndarray, tol: float):
@@ -182,36 +181,34 @@ def _decompose(a: np.ndarray, tol: float):
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     dim = a.shape[0]
-    scale = float(np.linalg.norm(a))
+    unit, e = _unit_scale(a)
+    scale = float(np.linalg.norm(unit))
     if scale == 0.0:  # every basis diagonalises 0: keep the identity
         report = SpectralReport(np.zeros(dim, dtype=complex), True, FailureKind.NONE, 1.0)
         return report, Diagonalisation(np.eye(dim), np.zeros(dim))
-    if _is_symmetric(a, tol):
+    if _is_symmetric(unit, tol):
         # Symmetric input: take the orthogonal eigenbasis so the transform
         # conditioning is 1 up to rounding.
-        values, vectors = np.linalg.eigh((a + a.T) / 2.0)
-        spectrum = values.astype(complex)
+        spectrum, vectors = np.linalg.eigh(a / 2.0 + a.T / 2.0)
     else:
         spectrum, vectors = np.linalg.eig(a)
-        if np.max(np.abs(spectrum.imag)) > tol * scale:
-            return SpectralReport(np.sort_complex(spectrum), False,
-                                  FailureKind.COMPLEX_SPECTRUM), None
-        if np.iscomplexobj(vectors):
-            values, vectors = _realify_conjugate_pairs(spectrum, vectors)
-        else:
-            values = spectrum.real.copy()
-
-    values, vectors = canonical_eigenbasis(values, vectors)
+    if not np.all(np.isfinite(spectrum)):
+        raise np.linalg.LinAlgError("eigenvalues exceed the double range")
+    if np.ldexp(np.max(np.abs(spectrum.imag)), -e) > tol * scale:
+        return SpectralReport(np.sort_complex(spectrum), False,
+                              FailureKind.COMPLEX_SPECTRUM), None
     defective = SpectralReport(np.sort_complex(spectrum), False, FailureKind.DEFECTIVE)
-    try:
-        transform = np.linalg.inv(vectors)
-    except np.linalg.LinAlgError:  # exactly singular eigenbasis
-        return defective, None
-    with np.errstate(all="ignore"):
-        residual = float(np.linalg.norm(a - (vectors * values) @ transform))
-    if not residual <= tol * scale:
-        return defective, None
-    diag = Diagonalisation(transform, values, residual)
+    with np.errstate(all="ignore"):  # an overflow shows as a failed test below
+        try:
+            values, vectors = canonical_eigenbasis(
+                *_realify_conjugate_pairs(spectrum, vectors))
+            transform = np.linalg.inv(vectors)
+            residual = float(np.linalg.norm(np.ldexp(a - (vectors * values) @ transform, -e)))
+            if not residual <= tol * scale:
+                return defective, None
+            diag = Diagonalisation(transform, values, float(np.ldexp(residual, e)))
+        except (np.linalg.LinAlgError, ValueError):  # a zero, singular or non-finite basis
+            return defective, None
     condition = diag.transform_norm * diag.inverse_norm
     if condition * tol >= 1.0:
         return defective, None
@@ -241,6 +238,8 @@ def real_diagonalise(a, tol: float = DEFAULT_TOL) -> Diagonalisation:
         If some eigenvalue has imaginary part above ``tol``-scale
         (ComplexSpectrum) or the eigenvector basis is numerically singular
         (Defective).  The exception carries the :class:`SpectralReport`.
+    numpy.linalg.LinAlgError
+        If LAPACK fails or an eigenvalue exceeds the double range.
     """
     report, diag = _decompose(a, tol)
     if diag is None:
@@ -254,7 +253,7 @@ def _spd_eigh(k, tol: float):
     k = as_square_matrix(k)
     if not _is_symmetric(k, tol):
         return None
-    values, vectors = np.linalg.eigh((k + k.T) / 2.0)
+    values, vectors = np.linalg.eigh(k / 2.0 + k.T / 2.0)
     if not values[0] > tol * np.max(np.abs(values)):
         return None
     return values, vectors
@@ -275,4 +274,4 @@ def symmetric_sqrt(k, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NotSPDError("matrix is not symmetric positive definite")
     values, vectors = factors
     root = (vectors * np.sqrt(values)) @ vectors.T
-    return (root + root.T) / 2.0
+    return root / 2.0 + root.T / 2.0

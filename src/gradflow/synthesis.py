@@ -30,6 +30,7 @@ from .spectral import (
     DEFAULT_TOL,
     Diagonalisation,
     _is_symmetric,
+    _unit_scale,
     as_square_matrix,
     as_vector,
     canonical_eigenbasis,
@@ -60,7 +61,7 @@ class CanonicalGradientSystem:
         for name, m in (("onsager operator", k), ("hessian", b)):
             if not _is_symmetric(m, DEFAULT_TOL):
                 raise ValueError(f"{name} must be symmetric")
-        eigs = np.linalg.eigvalsh((k + k.T) / 2.0)
+        eigs = np.linalg.eigvalsh(k / 2.0 + k.T / 2.0)
         if eigs[0] < -DEFAULT_TOL * np.max(np.abs(eigs)):
             raise ValueError("onsager operator must be positive semi-definite")
         object.__setattr__(self, "onsager", k)
@@ -151,9 +152,9 @@ def synthesize_canonical(diag: Diagonalisation, tol: float = DEFAULT_TOL) -> Can
             "is not numerically SPD")
     inv_t = diag.eigenvectors
     onsager = inv_t @ inv_t.T
-    onsager = (onsager + onsager.T) / 2.0
+    onsager = onsager / 2.0 + onsager.T / 2.0
     hessian = -(diag.transform.T * diag.eigenvalues) @ diag.transform
-    hessian = (hessian + hessian.T) / 2.0
+    hessian = hessian / 2.0 + hessian.T / 2.0
     return CanonicalGradientSystem(onsager, hessian, np.zeros(diag.dim))
 
 
@@ -177,18 +178,14 @@ def recover_diagonalisation(gs: CanonicalGradientSystem, a,
         inconsistent inputs.
     """
     a = as_square_matrix(a)
-    if a.shape[0] != gs.dim:
-        raise ValueError("matrix dimension does not match the system")
-    product = gs.onsager @ gs.hessian
-    ref = max(np.linalg.norm(a), np.linalg.norm(product))
-    if np.linalg.norm(a + product) > tol * ref:
+    if not verify_flow_identity(a, gs).max_residual <= tol:
         raise FlowMismatchError("matrix does not satisfy a = -onsager @ hessian")
     root = symmetric_sqrt(gs.onsager, tol)
     transformed = np.linalg.solve(root, a @ root)
     if not _is_symmetric(transformed, tol):
         raise AsymmetryDefectError("square-root conjugation of the matrix is not symmetric")
 
-    eigenvalues, basis = np.linalg.eigh((transformed + transformed.T) / 2.0)
+    eigenvalues, basis = np.linalg.eigh(transformed / 2.0 + transformed.T / 2.0)
     # Columns of root @ basis are eigenvectors of a.
     eigenvalues, eigenvectors = canonical_eigenbasis(eigenvalues, root @ basis)
     transform = np.linalg.inv(eigenvectors)
@@ -246,8 +243,8 @@ def linearise_generalised(probe: GeneralisedSystemProbe, step: float | None = No
     else:
         curvature = _central_difference_jacobian(probe.energy_grad, eq, step, probe.dim)
 
-    mobility = (mobility + mobility.T) / 2.0
-    curvature = (curvature + curvature.T) / 2.0
+    mobility = mobility / 2.0 + mobility.T / 2.0
+    curvature = curvature / 2.0 + curvature.T / 2.0
     try:
         return CanonicalGradientSystem(mobility, curvature, eq)
     except ValueError as exc:  # the hessians are symmetric and dim x dim here
@@ -259,13 +256,15 @@ def verify_flow_identity(a, gs: CanonicalGradientSystem) -> FlowResidualReport:
     """Report the relative operator defect of ``a = -onsager @ hessian``.
 
     For quadratic energies the pointwise flow identity is equivalent to this
-    operator identity, so the check is exhaustive rather than sampled.
+    operator identity, so the check is exhaustive rather than sampled.  Both
+    Frobenius norms are taken in the units of ``spectral._unit_scale(a)``.
     """
     a = as_square_matrix(a)
     if a.shape[0] != gs.dim:
         raise ValueError("matrix dimension does not match the system")
-    defect = np.linalg.norm(a + gs.onsager @ gs.hessian)
-    scale = np.linalg.norm(a)
+    unit, e = _unit_scale(a)
+    defect = np.linalg.norm(np.ldexp(a + gs.onsager @ gs.hessian, -e))
+    scale = np.linalg.norm(unit)
     if scale == 0.0:
         residual = 0.0 if defect == 0.0 else float("inf")
     else:

@@ -1,10 +1,15 @@
 """Command-line front end tests: exit codes, schemas, determinism, formats."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gradflow.cli import main
 from gradflow.serialize import REPORT_SCHEMA, load_system_document
@@ -285,6 +290,17 @@ def test_markov_invalid_generator_is_a_validate_finding(workdir, capsys):
     assert code == 4
 
 
+def test_markov_reducible_chain_is_a_precondition_failure(workdir, capsys):
+    tmp_path, write = workdir
+    gen = write("gen.json", {"convention": "transposed", "dim": 3,
+                             "rows": [[-1, 0, 0], [1, 0, 0], [0, 0, 0]]})
+    out = tmp_path / "r.json"
+    code, report, err = run(capsys, "markov", gen, "stationary", "--out", str(out))
+    assert code == 4 and report is None
+    assert "precondition failed: kernel dimension 2" in err
+    assert not out.exists()
+
+
 def test_markov_requires_convention_marker(workdir, capsys):
     _, write = workdir
     gen = write("gen.json", {"dim": 3,
@@ -475,3 +491,59 @@ def test_factorisation_counts_per_command(workdir, capsys, linalg_counts,
     assert main(argv) == 0
     capsys.readouterr()
     assert dict(linalg_counts) == expected
+
+
+FUZZ_ARGV = st.one_of(
+    st.sampled_from([["analyze", "{matrix}"],
+                     ["synthesize", "{matrix}", "--out", "{system}"],
+                     ["verify", "{system}"],
+                     ["convexity", "{system}", "--samples", "5"]]),
+    st.sampled_from(["exact", "rk4", "mm"]).map(
+        lambda method: ["simulate", "{system}", "--x0", "{x0}", "--t-end", "1",
+                        "--method", method, "--step", "0.5", "--out", "{csv}"]),
+    st.sampled_from(["validate", "stationary", "reversible", "entropic-verify"]).map(
+        lambda sub: ["markov", "{generator}", sub, "--samples", "5"]),
+)
+FUZZ_OPTIONS = st.lists(st.sampled_from(
+    ["--tol", "1e-9", "1e-300", "0.5", "0", "-1", "nan", "x", "--seed", "7"]), max_size=3)
+
+
+@st.composite
+def _square_rows(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    row = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                   min_size=dim, max_size=dim)
+    return draw(st.lists(row, min_size=dim, max_size=dim))
+
+
+def _exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_square_rows(), argv=FUZZ_ARGV, options=FUZZ_OPTIONS)
+@example(rows=[[-2e200, 0.0, 2e200], [1e200, -3e200, 2e200], [1e200, 3e200, -4e200]],
+         argv=["synthesize", "{matrix}", "--out", "{system}"], options=[])
+def test_fuzzed_inputs_keep_the_exit_code_contract(rows, argv, options):
+    """Any small matrix and argv ends in exit 0/2/3/4/5 with no traceback.
+
+    Commands that read a system file get the one ``synthesize`` wrote for
+    the same matrix, when it wrote one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fields = {name: str(Path(tmp) / name)
+                  for name in ("matrix", "generator", "system", "csv")}
+        Path(fields["matrix"]).write_text(json.dumps({"dim": len(rows), "rows": rows}))
+        Path(fields["generator"]).write_text(json.dumps(
+            {"convention": "transposed", "dim": len(rows), "rows": rows}))
+        fields["x0"] = ",".join(["1"] * len(rows))
+        if argv[0] in ("verify", "convexity", "simulate"):
+            _exit_code(["synthesize", fields["matrix"], "--out", fields["system"]])
+        code, err = _exit_code([part.format(**fields) for part in argv + options])
+    assert code in (0, 2, 3, 4, 5), err
+    assert "Traceback" not in err

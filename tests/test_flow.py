@@ -301,6 +301,16 @@ def test_dissipation_decreases_even_on_expansive_mode():
     assert audit.energies[-1] < audit.energies[0]
 
 
+@pytest.mark.parametrize("k", [0, -40])
+def test_dissipation_audit_flags_a_rising_energy_at_any_scale(k):
+    # E = 2**k x**2 rises 9x; an absolute floor of 1 hid the rise at k = -40
+    gs = CanonicalGradientSystem(np.eye(1), np.ldexp(np.array([[2.0]]), k), np.zeros(1))
+    traj = Trajectory(np.array([0.0, 1.0]), np.array([[1.0 / 3.0], [1.0]]), Integrator.EXACT)
+    audit = dissipation_audit(gs, traj)
+    assert audit.energies[1] == pytest.approx(9.0 * audit.energies[0])
+    assert not audit.monotone
+
+
 def test_rk4_trajectory_feeds_the_audit(rng):
     matrix, diag, gs = _three_state_setup()
     traj = rk4_flow(matrix, rng.standard_normal(3), 1.0, 0.01)

@@ -249,3 +249,11 @@ def test_essential_range_check_cases():
     assert essential_range_check(Diagonalisation(np.eye(2), np.array([0.0, 0.0])))
     assert essential_range_check(Diagonalisation(np.eye(2), np.array([3.0, 1.0])),
                                  spectrum_bound=3.0)
+
+
+@pytest.mark.parametrize("k", [0, -40])
+def test_essential_range_check_does_not_depend_on_the_scale(k):
+    # an absolute floor of 1 made 2**-40 * 1e-3 pass as non-positive
+    t = np.array([[1.0, 0.5], [0.0, 1.0]])
+    w = np.ldexp(np.array([-1.0, 1e-3]), k)
+    assert not essential_range_check(Diagonalisation(t, w))

@@ -3,15 +3,21 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, strategies as st
 
 from gradflow import (
     Diagonalisation,
     FailureKind,
     inspect_spectrum,
+    is_reversible,
     is_spd,
+    nonreversible_three_state,
     nonreversible_three_state_system,
     real_diagonalise,
+    reversible_three_state,
+    stationary_distribution,
     symmetric_sqrt,
+    validate_generator,
 )
 from gradflow.errors import NotDiagonalisableError, NotSPDError
 
@@ -171,3 +177,32 @@ def test_is_spd_basic_cases():
 
 def test_is_spd_accepts_three_state_onsager():
     assert is_spd(nonreversible_three_state_system().onsager)
+
+
+# Entries are small integers, so every k in [-1000, 1000] keeps them finite
+# and normal.
+SCALE_FIXTURES = {
+    "paper-reversible": reversible_three_state().matrix,
+    "paper-nonreversible": THREE_STATE,
+    "rotation": np.array([[0.0, -1.0], [1.0, 0.0]]),
+    "jordan": np.array([[0.0, 1.0], [0.0, 0.0]]),
+}
+PAPER_CHAINS = ("paper-reversible", "paper-nonreversible")
+
+
+@given(st.integers(min_value=-1000, max_value=1000))
+@example(-700)  # the Frobenius norm of the rotation underflowed to 0
+@example(600)   # and of the paper chains overflowed to inf
+def test_verdicts_are_invariant_under_power_of_two_scaling(k):
+    for name, a in SCALE_FIXTURES.items():
+        scaled = np.ldexp(a, k)
+        base, report = inspect_spectrum(a), inspect_spectrum(scaled)
+        assert report.failure_kind is base.failure_kind, name
+        np.testing.assert_allclose(report.eigenvalues * 2.0 ** -k, base.eigenvalues,
+                                   rtol=0.0, atol=1e-12, err_msg=name)
+        if name in PAPER_CHAINS:
+            gen = validate_generator(scaled)
+            pi = stationary_distribution(gen)
+            np.testing.assert_allclose(pi, stationary_distribution(validate_generator(a)),
+                                       rtol=1e-12)
+            assert is_reversible(gen, pi) is (name == "paper-reversible")
