@@ -31,7 +31,6 @@ from .serialize import (
     InputDimensionError,
     InputFormatError,
     build_report,
-    file_digest,
     load_generator_document,
     load_matrix_document,
     load_system_document,
@@ -95,7 +94,7 @@ _positive_int = _bounded(int, 0, inclusive=False)
 
 
 def cmd_analyze(args) -> dict:
-    matrix = load_matrix_document(args.input)
+    matrix, digest = load_matrix_document(args.input)
     report = inspect_spectrum(matrix, args.tol)
     results = {
         "eigenvalues": _complex_list(report.eigenvalues),
@@ -103,12 +102,11 @@ def cmd_analyze(args) -> dict:
         "failure_kind": report.failure_kind.value,
         "condition": report.condition,
     }
-    return build_report("analyze", file_digest(args.input),
-                        {"tol": args.tol}, results)
+    return build_report("analyze", digest, {"tol": args.tol}, results)
 
 
 def cmd_synthesize(args) -> dict:
-    matrix = load_matrix_document(args.input)
+    matrix, digest = load_matrix_document(args.input)
     diag = real_diagonalise(matrix, args.tol)
     gs = synthesize_canonical(diag, args.tol)
     constants = geometry.convexity_constants(diag)
@@ -124,20 +122,18 @@ def cmd_synthesize(args) -> dict:
         "flat_factor": constants.flat_factor,
         "geodesic_factor": constants.geodesic_factor,
     }
-    return build_report("synthesize", file_digest(args.input),
-                        {"tol": args.tol}, results)
+    return build_report("synthesize", digest, {"tol": args.tol}, results)
 
 
 def cmd_verify(args) -> dict:
-    matrix, _, gs = load_system_document(args.input)
+    matrix, _, gs, digest = load_system_document(args.input)
     residual = verify_flow_identity(matrix, gs).max_residual
     results = {"max_residual": residual, "passed": bool(residual <= args.tol)}
-    return build_report("verify", file_digest(args.input),
-                        {"tol": args.tol}, results)
+    return build_report("verify", digest, {"tol": args.tol}, results)
 
 
 def cmd_convexity(args) -> dict:
-    _, diag, gs = load_system_document(args.input)
+    _, diag, gs, digest = load_system_document(args.input)
     constants = geometry.convexity_constants(diag)
     mono = geometry.check_strong_monotonicity(
         gs, constants.flat_lambda, samples=args.samples, seed=args.seed)
@@ -158,9 +154,8 @@ def cmd_convexity(args) -> dict:
         "contraction_violation": contraction,
         "spectrum_nonpositive": geometry.essential_range_check(diag),
     }
-    return build_report("convexity", file_digest(args.input),
-                        {"tol": args.tol, "samples": args.samples,
-                         "seed": args.seed}, results)
+    options = {"tol": args.tol, "samples": args.samples, "seed": args.seed}
+    return build_report("convexity", digest, options, results)
 
 
 def _simulate_one(args, matrix, diag, gs, x0):
@@ -183,7 +178,7 @@ def _simulate_one(args, matrix, diag, gs, x0):
 
 
 def cmd_simulate(args) -> dict:
-    matrix, diag, gs = load_system_document(args.input)
+    matrix, diag, gs, digest = load_system_document(args.input)
     states = [_parse_state(text, gs.dim) for text in args.x0]
     if len(states) > 2:
         raise InputFormatError("at most two --x0 vectors are supported")
@@ -225,15 +220,13 @@ def cmd_simulate(args) -> dict:
     write_trajectory_csv(args.out, trajectory)
     options = {"method": args.method, "t_end": args.t_end,
                "step": args.step, "nodes": args.nodes}
-    return build_report("simulate", file_digest(args.input), options,
-                        results, caught)
+    return build_report("simulate", digest, options, results, caught)
 
 
 def cmd_markov(args) -> dict:
-    matrix = load_generator_document(args.input)
+    matrix, digest = load_generator_document(args.input)
     options = {"subcommand": args.subcommand, "tol": args.tol,
                "samples": args.samples, "seed": args.seed}
-    digest = file_digest(args.input)
 
     if args.subcommand == "validate":
         try:

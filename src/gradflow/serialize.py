@@ -135,20 +135,16 @@ def render_json(value) -> str:
     return "".join(pieces)
 
 
-def file_digest(path) -> str:
-    """sha256 hex digest of a file's bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _load_json(path):
+    """``(parsed JSON, sha256 digest)`` of one read, so ``--out`` cannot alter the digest."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON ({exc})") from exc
 
@@ -178,18 +174,19 @@ def matrix_block(matrix: np.ndarray) -> dict:
     return {"dim": int(matrix.shape[0]), "rows": matrix}
 
 
-def load_matrix_document(path) -> np.ndarray:
-    """Read a ``{"dim", "rows"}`` JSON matrix file."""
-    return _matrix_from_block(_load_json(path), str(path))
+def load_matrix_document(path) -> tuple[np.ndarray, str]:
+    """Read a ``{"dim", "rows"}`` JSON matrix file: ``(matrix, sha256 digest)``."""
+    doc, digest = _load_json(path)
+    return _matrix_from_block(doc, str(path)), digest
 
 
-def load_generator_document(path) -> np.ndarray:
-    """Read a generator file; refuses input without the convention marker."""
-    doc = _load_json(path)
+def load_generator_document(path) -> tuple[np.ndarray, str]:
+    """Read a generator file, refused without the convention marker: ``(matrix, digest)``."""
+    doc, digest = _load_json(path)
     if not isinstance(doc, dict) or doc.get("convention") != "transposed":
         raise InputFormatError(
             f'{path}: generator files must declare "convention": "transposed"')
-    return _matrix_from_block(doc, str(path))
+    return _matrix_from_block(doc, str(path)), digest
 
 
 def system_document(matrix: np.ndarray, diag: Diagonalisation,
@@ -222,8 +219,8 @@ def save_system_document(path, document: dict) -> None:
 
 
 def load_system_document(path):
-    """Read a system file back into ``(matrix, diagonalisation, system)``."""
-    doc = _load_json(path)
+    """Read a system file: ``(matrix, diagonalisation, system, sha256 digest)``."""
+    doc, digest = _load_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "gradient-system":
         raise InputFormatError(f"{path}: not a gradient-system document")
     where = str(path)
@@ -242,7 +239,7 @@ def load_system_document(path):
         gs = CanonicalGradientSystem(onsager, hessian, equilibrium)
     except ValueError as exc:
         raise InputDimensionError(f"{where}: inconsistent system ({exc})") from exc
-    return matrix, diag, gs
+    return matrix, diag, gs, digest
 
 
 def write_trajectory_csv(path, trajectory) -> None:

@@ -1,6 +1,7 @@
 """Command-line front end tests: exit codes, schemas, determinism, formats."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -85,7 +86,7 @@ def test_synthesize_writes_certified_system(workdir, capsys):
     assert report["results"]["flow_residual"] <= 1e-9
     assert report["results"]["spd"] is True
     jsonschema.validate(report, REPORT_SCHEMA)
-    matrix, diag, gs = load_system_document(out)
+    matrix, diag, gs, _ = load_system_document(out)
     assert np.linalg.norm(matrix + gs.onsager @ gs.hessian) <= 1e-9 * np.linalg.norm(matrix)
     assert np.allclose(np.sort(diag.eigenvalues), [-6.0, -3.0, 0.0], atol=1e-9)
 
@@ -96,7 +97,7 @@ def test_synthesize_symmetric_matrix_gives_identity_onsager(workdir, capsys):
     out = str(tmp_path / "sym.json")
     code, _, _ = run(capsys, "synthesize", write("s.json", doc), "--out", out)
     assert code == 0
-    _, _, gs = load_system_document(out)
+    _, _, gs, _ = load_system_document(out)
     assert np.allclose(gs.onsager, np.eye(3), atol=1e-9)
 
 
@@ -321,6 +322,24 @@ def test_reports_are_deterministic_modulo_timestamp(workdir, capsys):
     assert first["inputs_digest"] == second["inputs_digest"]
 
 
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+def test_inputs_digest_names_the_input_that_out_overwrites(workdir, capsys, command):
+    """The digest is of the bytes parsed, not of the file ``--out`` left behind."""
+    tmp_path, write = workdir
+    path = write("a.json", THREE_STATE_DOC)
+    extra = []
+    if command == "simulate":
+        system = str(tmp_path / "system.json")
+        assert main(["synthesize", path, "--out", system]) == 0
+        capsys.readouterr()
+        path, extra = system, ["--x0", "1,0,0", "--t-end", "1", "--nodes", "3"]
+    before = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    code, report, _ = run(capsys, command, path, *extra, "--out", path)
+    assert code == 0
+    assert report["inputs_digest"] == before
+    assert hashlib.sha256(Path(path).read_bytes()).hexdigest() != before
+
+
 def test_trajectory_csv_roundtrips_doubles(workdir, capsys):
     tmp_path, write = workdir
     system = str(tmp_path / "system.json")
@@ -459,6 +478,9 @@ def test_undecodable_input_and_unwritable_out_exit_2(workdir, capsys, argv):
     ("simulate-pair", {"svd": 1, "eigvalsh": 1, "inv": 1}),
     ("simulate-rk4", {"svd": 1, "eigvalsh": 1}),
     ("simulate-mm", {"svd": 1, "eigvalsh": 1, "inv": 2, "cholesky": 1}),
+    ("markov-stationary", {"svd": 1}),
+    ("markov-reversible", {"svd": 1}),
+    ("markov-entropic-verify", {"svd": 1}),
 ])
 def test_factorisation_counts_per_command(workdir, capsys, linalg_counts,
                                           command, expected):
@@ -469,11 +491,14 @@ def test_factorisation_counts_per_command(workdir, capsys, linalg_counts,
     eigenbasis and of the transform are each computed at most once, and
     the only ``eigvalsh`` is the system's semi-definiteness check.  rk4
     adds nothing (its step advisory reads the Frobenius norm), mm the
-    inverse of its step resolvent.
+    inverse of its step resolvent.  A chain's one SVD gives its stationary
+    distribution; the 1000 entropic samples add no factorisation.
     """
     tmp_path, write = workdir
     planted = make_diagonalisation(np.random.default_rng(20), 20, min_gap=0.05)
     matrix = write("a.json", {"dim": 20, "rows": planted.reconstruct().tolist()})
+    generator = write("gen.json", {"convention": "transposed", "dim": 3,
+                                   "rows": reversible_three_state().matrix.tolist()})
     system = str(tmp_path / "system.json")
     assert main(["synthesize", matrix, "--out", system]) == 0
     simulate = ["simulate", system, "--x0", ",".join(["1"] * 20), "--t-end", "1",
@@ -486,6 +511,9 @@ def test_factorisation_counts_per_command(workdir, capsys, linalg_counts,
         "simulate-pair": simulate + ["--x0", ",".join(["0", "1"] * 10)],
         "simulate-rk4": simulate + ["--method", "rk4", "--step", "0.25"],
         "simulate-mm": simulate + ["--method", "mm", "--step", "0.25"],
+        "markov-stationary": ["markov", generator, "stationary"],
+        "markov-reversible": ["markov", generator, "reversible"],
+        "markov-entropic-verify": ["markov", generator, "entropic-verify"],
     }[command]
     linalg_counts.clear()
     assert main(argv) == 0

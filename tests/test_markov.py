@@ -1,6 +1,7 @@
 """Markov specialisation tests: generators, reversibility, entropic structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,36 @@ def test_log_mean_rejects_nonpositive():
         log_mean(1.0, -2.0)
 
 
+def _previous_log_mean(a, b):
+    """The formula log_mean replaced: every branch on every entry, then ``where``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    magnitude = np.log1p(np.abs(a - b) / np.minimum(a, b))
+    gap = np.where(a >= b, magnitude, -magnitude)
+    near = magnitude < 1e-8
+    ratio = (a - b) / (a + b)
+    series = 0.5 * (a + b) * (1.0 - ratio * ratio / 3.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (a - b) / np.where(near, 1.0, gap)
+    return np.where(near, series, direct)
+
+
+def test_log_mean_is_bit_identical_to_the_previous_formula():
+    base = np.geomspace(1e-3, 1e3, 240)
+    # pairs on both sides of the 1e-8 series branch, and exact ties
+    steps = np.concatenate([np.geomspace(1e-16, 1e-6, 30), -np.geomspace(1e-16, 1e-6, 30)])
+    values = np.concatenate([base, 1.0 + steps])
+    assert values.size == 300
+    a, b = values[:, None], values[None, :]
+    out = log_mean(a, b)
+    assert out.shape == (300, 300)
+    assert np.array_equal(out, _previous_log_mean(a, b))
+    for x, y in [(1.0, 1.0), (1.0, 1.0 + 1e-12), (2.0, 2.0 * (1 + 3e-9)),
+                 (1.0, np.e), (1e-3, 1e3), (7.5, 0.25)]:
+        value = log_mean(x, y)
+        assert type(value) is float
+        assert value == float(_previous_log_mean(x, y))
+
+
 def test_log_mean_broadcasts():
     a = np.array([1.0, 2.0, 3.0])
     out = log_mean(a[:, None], a[None, :])
@@ -265,6 +296,95 @@ def test_entropic_flow_identity_birth_death_chain():
     structure = EntropicStructure.from_generator(gen)
     assert verify_entropic_flow(gen, structure, samples=300,
                                 seed=1).max_residual <= 1e-9
+
+
+def perturbed_chain(dim, seed):
+    """A random reversible chain, and its structure with one edge weight x 1.3.
+
+    Scaling every weight by 1.3 would make each sample's residual tie at
+    exactly 0.3; one edge gives each sample its own residual.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 2.0, (dim, dim))
+    weights += weights.T
+    pi = rng.uniform(0.5, 2.0, dim)
+    pi /= pi.sum()
+    a = weights / pi
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, -a.sum(axis=0))
+    gen = validate_generator(a)
+    structure = EntropicStructure.from_generator(gen)
+    wrong = structure.weights.copy()
+    wrong[0, 1] *= 1.3
+    wrong[1, 0] *= 1.3
+    return gen, EntropicStructure(structure.stationary, wrong)
+
+
+def per_sample_entropic_check(gen, structure, samples, seed=0):
+    """Reference loop: the worst residual and its point, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    dim = gen.dim
+    points = rng.dirichlet(np.ones(dim), size=samples) * (1.0 - dim * 1e-3) + 1e-3
+    velocity_floor = 1e-6 * np.linalg.norm(gen.matrix)
+    residuals = []
+    for x in points:
+        velocity = gen.matrix @ x
+        _, grad = relative_entropy(x, structure.stationary)
+        defect = np.linalg.norm(velocity + entropic_onsager(structure, x) @ grad)
+        residuals.append(defect / max(np.linalg.norm(velocity), velocity_floor))
+    worst = int(np.argmax(residuals))
+    return residuals[worst], points[worst]
+
+
+@pytest.mark.parametrize("dim, samples", [
+    (3, 1000), (20, 1000), (100, 200),
+    (3, 1), (20, 1), (20, 7), (20, 1001),
+])
+def test_block_kernel_matches_the_per_sample_loop(dim, samples):
+    gen, structure = perturbed_chain(dim, seed=dim)
+    report = verify_entropic_flow(gen, structure, samples=samples, seed=3)
+    expected, point = per_sample_entropic_check(gen, structure, samples, seed=3)
+    assert report.num_samples == samples
+    assert report.max_residual == pytest.approx(expected, rel=1e-12)
+    assert report.max_residual > 1e-3  # the wrong edge is detected
+    assert np.array_equal(report.worst_point, point)
+
+
+def test_single_state_chain_reads_zero_without_warning():
+    gen = validate_generator(np.array([[0.0]]))
+    structure = EntropicStructure.from_generator(gen)
+    with np.errstate(all="raise"):
+        report = verify_entropic_flow(gen, structure, samples=7)
+    assert report.max_residual == 0.0
+
+
+@pytest.mark.parametrize("k", [0, -60])
+def test_entropic_residual_does_not_depend_on_the_chain_scale(k):
+    """The velocity floor scales with the chain, so a slow chain is no easier.
+
+    With every weight x 1.1 the residual is 0.1 wherever the flow is not
+    floored; a floor of 1e-6 at any scale let the 2**-60 copy read 3e-13.
+    """
+    gen = validate_generator(np.ldexp(np.array([[-3.0, 1.0, 2.0],
+                                                 [1.0, -2.0, 1.0],
+                                                 [2.0, 1.0, -3.0]]), k))
+    structure = EntropicStructure.from_generator(gen)
+    wrong = EntropicStructure(structure.stationary, structure.weights * 1.1)
+    assert verify_entropic_flow(gen, wrong, samples=200).max_residual == pytest.approx(
+        0.1, rel=1e-9)
+    assert verify_entropic_flow(gen, structure, samples=200).max_residual <= 1e-12
+
+
+def test_entropic_check_memory_stays_flat():
+    """Blocks bound the per-sample arrays: 1000 samples at n = 100 stay under 2 MB."""
+    gen, structure = perturbed_chain(100, seed=100)
+    tracemalloc.start()
+    try:
+        verify_entropic_flow(gen, structure, samples=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_entropic_flow_rejects_nonreversible():
