@@ -49,6 +49,10 @@ EXIT_DIMENSION = 3
 EXIT_PRECONDITION = 4
 EXIT_NUMERIC = 5
 
+# Largest --samples, --nodes or --t-end / --step: each count sizes an array,
+# so a larger one is refused (exit 2) before anything is allocated.
+MAX_COUNT = 2 ** 24
+
 log = logging.getLogger("gradflow")
 
 _FAILURE_LABELS = {EXIT_PRECONDITION: "precondition failed",
@@ -72,9 +76,10 @@ def _parse_state(text: str, dim: int) -> np.ndarray:
     return np.array(values)
 
 
-def _bounded(kind, low, inclusive: bool):
-    """argparse type: a finite ``kind`` (int or float), ``>= low`` or ``> low``."""
+def _bounded(kind, low, inclusive: bool, high=math.inf):
+    """argparse type: a finite ``kind`` (int or float) in ``[low, high]`` or ``(low, high]``."""
     relation = ">=" if inclusive else ">"
+    ceiling = "" if high == math.inf else f" and <= {high}"
 
     def parse(text: str):
         try:
@@ -82,15 +87,17 @@ def _bounded(kind, low, inclusive: bool):
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {text!r}") from None
-        if not math.isfinite(value) or value < low or (value == low and not inclusive):
+        # `value > high` first: an int beyond the float range stops there
+        if (value > high or not math.isfinite(value) or value < low
+                or (value == low and not inclusive)):
             raise argparse.ArgumentTypeError(
-                f"must be finite and {relation} {low}, got {text!r}")
+                f"must be finite and {relation} {low}{ceiling}, got {text!r}")
         return value
 
     return parse
 
 
-_positive_int = _bounded(int, 0, inclusive=False)
+_count = _bounded(int, 0, inclusive=False, high=MAX_COUNT)
 
 
 def cmd_analyze(args) -> dict:
@@ -178,6 +185,9 @@ def _simulate_one(args, matrix, diag, gs, x0):
 
 
 def cmd_simulate(args) -> dict:
+    if args.step is not None and args.t_end > MAX_COUNT * args.step:
+        raise InputFormatError(
+            f"--t-end / --step exceeds {MAX_COUNT} steps; raise --step")
     matrix, diag, gs, digest = load_system_document(args.input)
     states = [_parse_state(text, gs.dim) for text in args.x0]
     if len(states) > 2:
@@ -269,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_bounded(float, 0.0, inclusive=False),
                        default=DEFAULT_TOL, help="relative tolerance (default 1e-9)")
         if seed:
-            p.add_argument("--samples", type=_positive_int, default=1000,
+            p.add_argument("--samples", type=_count, default=1000,
                            help="number of sampled checks (default 1000)")
-            p.add_argument("--seed", type=int, default=0,
+            p.add_argument("--seed", type=_bounded(int, 0, inclusive=True), default=0,
                            help="sampling seed, echoed in the report (default 0)")
 
     p = sub.add_parser("analyze", help="is the matrix real diagonalisable?")
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exact")
     p.add_argument("--step", type=_bounded(float, 0.0, inclusive=False),
                    help="step size (required for rk4 and mm)")
-    p.add_argument("--nodes", type=_positive_int, default=200,
+    p.add_argument("--nodes", type=_count, default=200,
                    help="exact-method sample count (default 200)")
     p.add_argument("--out", required=True, help="trajectory CSV to write")
     p.set_defaults(handler=cmd_simulate)
@@ -353,8 +363,8 @@ def main(argv=None) -> int:
     except GradFlowError as exc:
         print(f"gradflow: {_FAILURE_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"gradflow: numeric failure: {exc}", file=sys.stderr)
+    except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
+        print(f"gradflow: numeric failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
 
     print(text)

@@ -1,11 +1,12 @@
 """Integrators for the linear flow ``dx/dt = a @ x``.
 
 Three routes: the exact spectral propagator, classical fixed-step RK4, and
-implicit minimizing-movement steps in the transport metric of a
-:class:`~gradflow.spectral.Diagonalisation`.  The exact propagator and the
-minimizing-movement steps read that record's ``transform`` and its cached
-inverse ``eigenvectors``.  A dissipation audit evaluates the energy along a
-computed trajectory and checks the decay identity.
+minimizing-movement steps in the transport metric of a
+:class:`~gradflow.spectral.Diagonalisation`.  The exact trajectory and the
+minimizing-movement scheme are diagonal in a modal basis, so each is one
+array of per-node mode factors mapped back by :func:`_modal_rows`; RK4
+steps its matrix polynomial.  A dissipation audit evaluates the energy
+along a computed trajectory and checks the decay identity.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ def exact_flow(diag: Diagonalisation, x0, t: float) -> np.ndarray:
     return out[0] if single else out
 
 
+def _modal_rows(from_modes: np.ndarray, factors: np.ndarray,
+                to_modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Rows ``from_modes @ (factors[k] * (to_modes @ x0))``: one per time node."""
+    return (factors * (to_modes @ x0)) @ from_modes.T
+
+
 def exact_trajectory(diag: Diagonalisation, x0, t_end: float,
                      nodes: int = 200) -> Trajectory:
     """Sample the exact flow at ``nodes`` uniform times on ``[0, t_end]``."""
@@ -87,8 +94,8 @@ def exact_trajectory(diag: Diagonalisation, x0, t_end: float,
     if t_end == 0.0:
         return Trajectory(np.zeros(1), x0[None, :], Integrator.EXACT)
     times = np.linspace(0.0, t_end, max(nodes, 2))
-    modes = guarded_exp(np.outer(times, diag.eigenvalues)) * (diag.transform @ x0)
-    states = modes @ diag.eigenvectors.T
+    growth = guarded_exp(np.outer(times, diag.eigenvalues))
+    states = _modal_rows(diag.eigenvectors, growth, diag.transform, x0)
     states[0] = x0
     return Trajectory(times, states, Integrator.EXACT)
 
@@ -111,28 +118,6 @@ def _step_times(t_end: float, step: float) -> tuple[np.ndarray, float]:
         times[-1] = t_end
         return times, step
     return np.append(times, t_end), remainder
-
-
-def _iterate(x0: np.ndarray, times: np.ndarray, step: float, last_step: float,
-             propagator) -> np.ndarray:
-    """States ``x_k = P x_{k-1} + shift`` with ``(P, shift) = propagator(h_k)``.
-
-    Every interval but the last has length ``step``, so at most two
-    propagators are built.  Raises :class:`NonFiniteStateError` at the first
-    non-finite state.
-    """
-    full = propagator(step)
-    final = full if last_step == step else propagator(last_step)
-    states = np.empty((times.size, x0.size))
-    states[0] = x0
-    x = x0
-    for k in range(1, times.size):
-        matrix, shift = final if k == times.size - 1 else full
-        x = matrix @ x + shift
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteStateError(f"state became non-finite at t = {times[k]:g}")
-        states[k] = x
-    return states
 
 
 def rk4_flow(a, x0, t_end: float, step: float) -> Trajectory:
@@ -161,9 +146,17 @@ def rk4_flow(a, x0, t_end: float, step: float) -> Trajectory:
         poly = eye + ha / 4.0
         for divisor in (3.0, 2.0, 1.0):
             poly = eye + (ha @ poly) / divisor
-        return poly, 0.0
+        return poly
 
-    states = _iterate(x0, times, step, last_step, propagator)
+    full = propagator(step)
+    final = full if last_step == step else propagator(last_step)
+    states = np.empty((times.size, x0.size))
+    states[0] = x = x0
+    for k in range(1, times.size):
+        x = (final if k == times.size - 1 else full) @ x
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteStateError(f"state became non-finite at t = {times[k]:g}")
+        states[k] = x
     return Trajectory(times, states, Integrator.RK4)
 
 
@@ -172,51 +165,40 @@ def minimizing_movement_flow(gs: CanonicalGradientSystem, diag: Diagonalisation,
     """Implicit steps ``x_{k+1} = argmin F(x) + d(x, x_k)^2 / (2 tau)``.
 
     For the quadratic energy and the transport metric of ``diag``, the flat
-    metric with tensor ``g = transform.T @ transform``, each step is the
-    linear system
-
-        (g + tau * hessian) x_{k+1} = g @ x_k + tau * hessian @ equilibrium
-
-    (the equilibrium term vanishes for systems centred at zero).  In the
-    coordinates ``y = transform @ x`` it reads ``(I + tau m) y_{k+1} = y_k +
-    tau inv(transform).T @ hessian @ equilibrium`` with ``m =
-    inv(transform).T @ hessian @ inv(transform)``, where ``inv(transform)``
-    is the record's cached ``eigenvectors``.  ``I + tau m`` has
-    condition near 1 where the step matrix has about ``cond(transform)^2``;
-    it is inverted once, each step is one matrix-vector product, and one
-    matrix product maps the states back.  Steps of size ``tau`` cover
+    metric with tensor ``g = T.T @ T`` (``T = diag.transform``), a step of
+    size ``h`` solves ``(g + h hessian) x_{k+1} = g x_k + h hessian eq``
+    with ``eq = gs.equilibrium``.  The scheme is evaluated in closed form:
+    take the one ``eigh`` of ``m = inv(T).T @ hessian @ inv(T)`` (with the
+    record's cached ``inv(T)``), ``m = V diag(mu) V.T``.  In the deviation
+    coordinates ``z = V.T @ T @ (x - eq)`` a step multiplies each ``z_i`` by
+    ``1 / (1 + h mu_i)``, so the states are a cumulative product over the
+    steps, mapped back in one matrix product.  Steps of size ``tau`` cover
     ``[0, t_end]``, with one shorter final step when the horizon is not an
-    exact multiple, so the trajectory ends at ``t_end``.  The step matrix
-    must be positive definite, which bounds ``tau`` by the most negative
-    curvature direction; :class:`SingularStepError` is raised otherwise.
-    The shorter step's matrix is a convex combination of ``g`` and the full
-    one, so it is definite too.  The scheme is backward Euler in disguise,
-    first-order accurate in ``tau``.
+    exact multiple, so the trajectory ends at ``t_end``.  By congruence the
+    step matrix ``g + h hessian`` is positive definite iff
+    ``1 + h min(mu) > 0``; :class:`SingularStepError` is raised unless that
+    holds for every step.  A non-finite state raises
+    :class:`NonFiniteStateError`.  The scheme is backward Euler in
+    disguise, first-order accurate in ``tau``.
     """
     x0 = as_vector(x0, gs.dim)
-    times, last_step = _step_times(t_end, tau)
-    t = diag.transform
-    step_matrix = t.T @ t + tau * gs.hessian
-    step_matrix = (step_matrix + step_matrix.T) / 2.0
-    try:
-        np.linalg.cholesky(step_matrix)
-    except np.linalg.LinAlgError:
-        raise SingularStepError(
-            f"step matrix not positive definite at tau = {tau:g}; "
-            "reduce the step") from None
-
+    times, _ = _step_times(t_end, tau)
     inv_t = diag.eigenvectors
     m = inv_t.T @ gs.hessian @ inv_t
-    m = (m + m.T) / 2.0
-    force = inv_t.T @ (gs.hessian @ gs.equilibrium)
-    eye = np.eye(gs.dim)
-
-    def propagator(h):
-        resolvent = np.linalg.inv(eye + h * m)
-        return resolvent, h * (resolvent @ force)
-
-    y = _iterate(t @ x0, times, tau, last_step, propagator)
-    states = y @ inv_t.T
+    mu, v = np.linalg.eigh(m / 2.0 + m.T / 2.0)
+    growth = 1.0 + np.outer(np.diff(times), mu)  # I + h m in modes, a row per step
+    if not np.min(growth) > 0.0:
+        raise SingularStepError(
+            f"step matrix not positive definite at tau = {tau:g}; "
+            "reduce the step")
+    eq = gs.equilibrium
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = np.cumprod(np.vstack([np.ones(gs.dim), 1.0 / growth]), axis=0)
+        states = eq + _modal_rows(inv_t @ v, factors, v.T @ diag.transform, x0 - eq)
+    finite = np.all(np.isfinite(states), axis=1)
+    if not finite.all():
+        raise NonFiniteStateError(
+            f"state became non-finite at t = {times[np.argmin(finite)]:g}")
     states[0] = x0
     return Trajectory(times, states, Integrator.MINIMIZING_MOVEMENT)
 

@@ -91,26 +91,24 @@ def convexity_constants(diag: Diagonalisation) -> ConvexityConstants:
                               flat_factor, geo_factor)
 
 
-def _pair_differences(rng: np.random.Generator, count: int, dim: int,
-                      radius: float) -> np.ndarray:
-    """``x2 - x1`` for ``count`` pairs drawn uniformly from the ``radius`` ball."""
+def _pair_differences(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``x2 - x1`` for ``count`` pairs drawn uniformly from the unit ball."""
     points = []
     for _ in range(2):
         u = rng.standard_normal((count, dim))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        points.append(radius * rng.uniform(size=(count, 1)) ** (1.0 / dim) * u)
+        points.append(rng.uniform(size=(count, 1)) ** (1.0 / dim) * u)
     return points[1] - points[0]
 
 
 def check_strong_monotonicity(gs: CanonicalGradientSystem, flat_lambda: float,
-                              samples: int = 1000, seed: int = 0,
-                              radius: float = 1.0) -> float:
-    """Worst violation of ``<B dx, dx> >= flat_lambda |dx|^2`` over random pairs.
+                              samples: int = 1000, seed: int = 0) -> float:
+    """Worst violation of ``<B dx, dx> >= flat_lambda |dx|^2`` over unit-ball pairs.
 
     Returns ``max(0, ...)``; a correct modulus yields at most numerical
     noise.
     """
-    delta = _pair_differences(np.random.default_rng(seed), samples, gs.dim, radius)
+    delta = _pair_differences(np.random.default_rng(seed), samples, gs.dim)
     quad = np.sum((delta @ gs.hessian) * delta, axis=1)
     violation = flat_lambda * np.sum(delta * delta, axis=1) - quad
     return float(max(0.0, np.max(violation)))
@@ -118,7 +116,7 @@ def check_strong_monotonicity(gs: CanonicalGradientSystem, flat_lambda: float,
 
 def check_geodesic_convexity(gs: CanonicalGradientSystem, diag: Diagonalisation,
                              geodesic_lambda: float, samples: int = 1000,
-                             seed: int = 0, radius: float = 1.0) -> float:
+                             seed: int = 0) -> float:
     """Worst positive defect of the geodesic convexity inequality.
 
     On the straight geodesic from ``x1`` to ``x1 + dx`` the defect of the
@@ -128,15 +126,14 @@ def check_geodesic_convexity(gs: CanonicalGradientSystem, diag: Diagonalisation,
     and ``T = diag.transform`` are read separately, so a hessian that does
     not match its transform shows as a defect.
     """
-    delta = _pair_differences(np.random.default_rng(seed), samples, gs.dim, radius)
+    delta = _pair_differences(np.random.default_rng(seed), samples, gs.dim)
     dist_sq = np.sum((delta @ diag.transform.T) ** 2, axis=1)
     quad = np.sum((delta @ gs.hessian) * delta, axis=1)
     return max(0.0, float(np.max(geodesic_lambda * dist_sq - quad))) / 8.0
 
 
 def check_contraction(diag: Diagonalisation, geodesic_lambda: float,
-                      pairs: int = 100, times=(0.1, 1.0, 10.0), seed: int = 0,
-                      radius: float = 1.0) -> float:
+                      pairs: int = 100, times=(0.1, 1.0, 10.0), seed: int = 0) -> float:
     """Worst positive defect of ``d(x1(t), x2(t)) <= exp(-lambda t) d(x1, x2)``.
 
     The exact flow moves ``z = T (x2 - x1)`` to ``exp(t w) * z``, so the
@@ -145,7 +142,7 @@ def check_contraction(diag: Diagonalisation, geodesic_lambda: float,
     some ``t * w_i`` exceeds the exp range.
     """
     rng = np.random.default_rng(seed)
-    z = _pair_differences(rng, pairs, diag.dim, radius) @ diag.transform.T
+    z = _pair_differences(rng, pairs, diag.dim) @ diag.transform.T
     d0 = np.linalg.norm(z, axis=1)
     worst = 0.0
     for t in times:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gradflow import cli
 from gradflow.cli import main
 from gradflow.serialize import REPORT_SCHEMA, load_system_document
 from gradflow import nonreversible_three_state, reversible_three_state
@@ -367,6 +368,9 @@ def test_report_out_flag_writes_identical_json(workdir, capsys):
     assert json.loads(saved.read_text()) == report
 
 
+HUGE = "1" + "0" * 21  # 1e21 as an integer
+
+
 @pytest.mark.parametrize("argv", [
     ("convexity", "{system}", "--samples", "0"),
     ("markov", "{generator}", "entropic-verify", "--samples", "0"),
@@ -385,6 +389,17 @@ def test_report_out_flag_writes_identical_json(workdir, capsys):
     ("analyze", "{matrix}", "--tol", "0"),
     ("analyze", "{matrix}", "--tol", "nan"),
     ("analyze", "{matrix}", "--tol", "inf"),
+    # counts that size an array: refused above MAX_COUNT, before any allocation
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--step", "1e-300"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--method", "rk4",
+     "--step", "1e-300"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--method", "mm",
+     "--step", "1e-300"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--nodes", HUGE),
+    ("convexity", "{system}", "--samples", HUGE),
+    ("convexity", "{system}", "--samples", "1" + "0" * 400),
+    ("markov", "{generator}", "entropic-verify", "--samples", HUGE),
+    ("markov", "{generator}", "entropic-verify", "--seed", "-1"),
 ])
 def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
     tmp_path, write = workdir
@@ -402,6 +417,19 @@ def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_memory_error_exits_5(workdir, capsys, monkeypatch):
+    _, write = workdir
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_analyze", exhausted)
+    code, report, err = run(capsys, "analyze", write("a.json", THREE_STATE_DOC))
+    assert code == 5 and report is None
+    assert "gradflow: numeric failure: MemoryError" in err
 
 
 # T = 1e160 I diagonalises diag(-1, 0), but |T|^2 is beyond the double range.
@@ -477,7 +505,7 @@ def test_undecodable_input_and_unwritable_out_exit_2(workdir, capsys, argv):
     ("convexity", {"svd": 1, "eigvalsh": 1}),
     ("simulate-pair", {"svd": 1, "eigvalsh": 1, "inv": 1}),
     ("simulate-rk4", {"svd": 1, "eigvalsh": 1}),
-    ("simulate-mm", {"svd": 1, "eigvalsh": 1, "inv": 2, "cholesky": 1}),
+    ("simulate-mm", {"svd": 1, "eigvalsh": 1, "inv": 1, "eigh": 1}),
     ("markov-stationary", {"svd": 1}),
     ("markov-reversible", {"svd": 1}),
     ("markov-entropic-verify", {"svd": 1}),
@@ -490,8 +518,9 @@ def test_factorisation_counts_per_command(workdir, capsys, linalg_counts,
     the metric norms; it validates a loaded transform too.  ``inv`` of the
     eigenbasis and of the transform are each computed at most once, and
     the only ``eigvalsh`` is the system's semi-definiteness check.  rk4
-    adds nothing (its step advisory reads the Frobenius norm), mm the
-    inverse of its step resolvent.  A chain's one SVD gives its stationary
+    adds nothing (its step advisory reads the Frobenius norm), mm one
+    ``eigh`` of its modal operator, which gives every step in closed form
+    and its definiteness test.  A chain's one SVD gives its stationary
     distribution; the 1000 entropic samples add no factorisation.
     """
     tmp_path, write = workdir
@@ -558,6 +587,22 @@ def _exit_code(argv):
 @given(rows=_square_rows(), argv=FUZZ_ARGV, options=FUZZ_OPTIONS)
 @example(rows=[[-2e200, 0.0, 2e200], [1e200, -3e200, 2e200], [1e200, 3e200, -4e200]],
          argv=["synthesize", "{matrix}", "--out", "{system}"], options=[])
+@example(rows=[[-1.0, 1.0], [1.0, -1.0]],
+         argv=["markov", "{generator}", "entropic-verify", "--samples", HUGE], options=[])
+@example(rows=[[-1.0, 1.0], [1.0, -1.0]],
+         argv=["convexity", "{system}", "--samples", HUGE], options=[])
+@example(rows=[[-1.0, 1.0], [1.0, -1.0]],
+         argv=["simulate", "{system}", "--x0", "{x0}", "--t-end", "1",
+               "--nodes", HUGE, "--out", "{csv}"], options=[])
+@example(rows=[[-1.0, 1.0], [1.0, -1.0]],
+         argv=["simulate", "{system}", "--x0", "{x0}", "--t-end", "1", "--method",
+               "exact", "--step", "1e-300", "--out", "{csv}"], options=[])
+@example(rows=[[-1.0, 1.0], [1.0, -1.0]],
+         argv=["simulate", "{system}", "--x0", "{x0}", "--t-end", "1", "--method",
+               "rk4", "--step", "1e-300", "--out", "{csv}"], options=[])
+@example(rows=[[-1.0, 1.0], [1.0, -1.0]],
+         argv=["simulate", "{system}", "--x0", "{x0}", "--t-end", "1", "--method",
+               "mm", "--step", "1e-300", "--out", "{csv}"], options=[])
 def test_fuzzed_inputs_keep_the_exit_code_contract(rows, argv, options):
     """Any small matrix and argv ends in exit 0/2/3/4/5 with no traceback.
 

@@ -14,6 +14,7 @@ from gradflow import (
     metric_distance,
     minimizing_movement_flow,
     nonreversible_three_state,
+    nonreversible_three_state_system,
     real_diagonalise,
     reversible_three_state,
     rk4_flow,
@@ -25,7 +26,7 @@ from gradflow.errors import (
     SingularStepError,
 )
 
-from conftest import make_diagonalisation
+from conftest import make_diagonalisation, make_transform
 
 
 def _three_state_setup():
@@ -192,6 +193,47 @@ def test_minimizing_movement_singular_step():
     # below the threshold the scheme runs
     traj = minimizing_movement_flow(gs, diag, [1.0], 1.0, 0.25)
     assert np.all(np.isfinite(traj.states))
+
+
+def test_minimizing_movement_singular_step_boundary():
+    # 1 + tau * mu_min = 0 exactly at tau = 1/2; one ulp below, the step is definite
+    gs = CanonicalGradientSystem(np.eye(1), np.array([[-2.0]]), np.zeros(1))
+    diag = Diagonalisation(np.eye(1), np.zeros(1))
+    with pytest.raises(SingularStepError):
+        minimizing_movement_flow(gs, diag, [1.0], 0.5, 0.5)
+    tau = np.nextafter(0.5, 0.0)
+    traj = minimizing_movement_flow(gs, diag, [1.0], tau, tau)
+    assert traj.states[-1, 0] == 1.0 / (1.0 - 2.0 * tau)
+
+
+@pytest.mark.parametrize("pair", ["hand-written", "random"])
+def test_minimizing_movement_matches_step_by_step_solves(rng, pair):
+    """The closed form equals the JKO steps ``(T'T + h B) x+ = T'T x + h B eq``.
+
+    The hessian ``B`` is not the one ``T`` induces (the random one is
+    indefinite), the equilibrium is not zero, and ``t_end`` leaves a shorter
+    last step."""
+    if pair == "hand-written":
+        system = nonreversible_three_state_system()
+        diag = real_diagonalise(nonreversible_three_state().matrix)
+        onsager, hessian = system.onsager, system.hessian
+    else:
+        # rank-4 part minus 0.05 g: indefinite, yet 1 + 0.3 mu > 0 for every mu
+        t = make_transform(rng, 6, cond=4.0)
+        diag = Diagonalisation(t, np.zeros(6))
+        s = rng.standard_normal((6, 4))
+        onsager, hessian = np.eye(6), s @ s.T - 0.05 * (t.T @ t)
+    dim = hessian.shape[0]
+    gs = CanonicalGradientSystem(onsager, hessian, rng.standard_normal(dim))
+    x0 = rng.standard_normal(dim)
+    traj = minimizing_movement_flow(gs, diag, x0, 1.0, 0.3)
+    assert traj.times.size == 5 and traj.times[-1] == 1.0
+    g = diag.transform.T @ diag.transform
+    x, reference = x0, [x0]
+    for h in np.diff(traj.times):
+        x = np.linalg.solve(g + h * hessian, g @ x + h * (hessian @ gs.equilibrium))
+        reference.append(x)
+    np.testing.assert_allclose(traj.states, reference, rtol=1e-12)
 
 
 def test_minimizing_movement_rests_at_shifted_equilibrium():
