@@ -7,6 +7,20 @@ document.  Trajectories are CSV with header ``t,x1,...,xd``.  All
 floating-point output is rendered with 17 significant digits so doubles
 round-trip exactly, and reports are emitted deterministically (stable key
 order, no locale dependence).
+
+Beside a system file ``sys.json`` gradflow also writes a binary sidecar
+``sys.json.cache``: one header line ``gradflow-system-cache <sha256> <d>``,
+then the raw little-endian float64 values of ``matrix``, ``onsager``,
+``hessian``, ``transform``, ``eigenvalues``, ``equilibrium`` and
+``residual``, ``4 d**2 + 2 d + 1`` doubles in all.  A reader takes the
+arrays from the sidecar only when its digest is the sha256 of the JSON
+bytes beside it and its size fits ``d``; otherwise it parses the JSON, so
+a stale, truncated or foreign sidecar is ignored and a JSON file copied
+without one still loads.  The JSON stays the product: it is what
+``inputs_digest`` names, and deleting the sidecar is always safe.  Both
+routes build the records through the same validation, and the sidecar
+holds the same doubles the JSON spells out (``-0`` reads back as ``+0``
+on either route), so no result depends on which route ran.
 """
 
 from __future__ import annotations
@@ -14,6 +28,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -135,18 +150,43 @@ def render_json(value) -> str:
     return "".join(pieces)
 
 
-def _load_json(path):
-    """``(parsed JSON, sha256 digest)`` of one read, so ``--out`` cannot alter the digest."""
+def _read_bytes(path) -> bytes:
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_json(data: bytes, path):
     try:
-        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+        return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _load_json(path):
+    """``(parsed JSON, sha256 digest)`` of one read, so ``--out`` cannot alter the digest."""
+    data = _read_bytes(path)
+    return _parse_json(data, path), hashlib.sha256(data).hexdigest()
+
+
+def _floats(values, flat, what: str) -> np.ndarray:
+    """JSON ``values`` (``flat`` iterates their entries) as a finite float array.
+
+    Only numbers pass: a string, ``null`` or ``true`` is refused, not
+    converted, and so is an entry that is not finite as a double.
+    """
+    if not set(map(type, flat)) <= {int, float}:
+        raise InputFormatError(f"{what}: entries must be numbers")
+    try:
+        array = np.array(values, dtype=float)
+    except OverflowError:  # an integer literal beyond the double range
+        raise InputFormatError(f"{what}: entries must be finite") from None
+    if not np.all(np.isfinite(array)):
+        raise InputFormatError(f"{what}: entries must be finite")
+    return array
 
 
 def _matrix_from_block(block, what: str) -> np.ndarray:
@@ -154,20 +194,14 @@ def _matrix_from_block(block, what: str) -> np.ndarray:
         raise InputFormatError(f"{what}: expected an object with dim and rows")
     dim = block["dim"]
     rows = block["rows"]
-    if not isinstance(dim, int) or dim <= 0:
+    if type(dim) is not int or dim <= 0:
         raise InputFormatError(f"{what}: dim must be a positive integer")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputFormatError(f"{what}: rows must be a list of lists")
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise InputDimensionError(
             f"{what}: rows do not form a {dim}x{dim} matrix")
-    try:
-        matrix = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"{what}: non-numeric entry ({exc})") from exc
-    if not np.all(np.isfinite(matrix)):
-        raise InputFormatError(f"{what}: entries must be finite")
-    return matrix
+    return _floats(rows, chain.from_iterable(rows), what)
 
 
 def matrix_block(matrix: np.ndarray) -> dict:
@@ -206,39 +240,122 @@ def system_document(matrix: np.ndarray, diag: Diagonalisation,
     }
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` to ``path``; an unwritable path is an input error."""
+def write_text(path, text: str | bytes) -> None:
+    """Write ``text`` (UTF-8 encoded if a ``str``) to ``path``; an unwritable
+    path is an input error."""
+    data = text.encode("utf-8") if isinstance(text, str) else text
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise InputFormatError(f"cannot write {path}: {exc}") from exc
 
 
+_SIDECAR_MAGIC = b"gradflow-system-cache"
+_SYSTEM_MATRICES = ("matrix", "onsager", "hessian", "transform")
+_SYSTEM_VECTORS = ("eigenvalues", "equilibrium")
+
+
+def _sidecar_path(path) -> Path:
+    return Path(str(path) + ".cache")
+
+
 def save_system_document(path, document: dict) -> None:
-    write_text(path, render_json(document) + "\n")
+    """Write the system file, then its sidecar; a sidecar that cannot be
+    written is left out, since the JSON file is the product."""
+    data = (render_json(document) + "\n").encode("utf-8")
+    write_text(path, data)
+    header = b"%s %s %d\n" % (_SIDECAR_MAGIC, hashlib.sha256(data).hexdigest().encode(),
+                               document["dim"])
+    del data
+    arrays = ([document[key]["rows"] for key in _SYSTEM_MATRICES]
+              + [document[key] for key in _SYSTEM_VECTORS]
+              + [np.array([document["residual"]])])
+    try:
+        with open(_sidecar_path(path), "wb") as fh:
+            fh.write(header)
+            for array in arrays:
+                np.asarray(array, dtype="<f8").tofile(fh)
+    except OSError:
+        pass
 
 
-def load_system_document(path):
-    """Read a system file: ``(matrix, diagonalisation, system, sha256 digest)``."""
-    doc, digest = _load_json(path)
+def _read_sidecar(path, digest: str):
+    """The seven system arrays from the sidecar of ``path`` if it carries
+    ``digest`` and holds exactly ``4 d**2 + 2 d + 1`` finite doubles, else
+    ``None``."""
+    try:
+        data = _sidecar_path(path).read_bytes()
+    except OSError:
+        return None
+    end = data.find(b"\n", 0, 256)
+    fields = data[:end].split(b" ") if end > 0 else []
+    if (len(fields) != 3 or fields[0] != _SIDECAR_MAGIC or fields[1] != digest.encode()
+            or not fields[2].isdigit()):
+        return None
+    dim = int(fields[2])
+    sizes = [dim * dim] * len(_SYSTEM_MATRICES) + [dim] * len(_SYSTEM_VECTORS) + [1]
+    if dim == 0 or len(data) - end - 1 != 8 * sum(sizes):
+        return None
+    arrays, offset = [], end + 1
+    for size in sizes:
+        # + 0.0: a fresh array, and -0.0 becomes the +0.0 the JSON "-0" reads as
+        arrays.append(np.frombuffer(data, dtype="<f8", count=size, offset=offset) + 0.0)
+        offset += 8 * size
+    if not all(np.all(np.isfinite(array)) for array in arrays):
+        return None
+    *matrices, eigenvalues, equilibrium, residual = arrays
+    return ([m.reshape(dim, dim) for m in matrices]
+            + [eigenvalues, equilibrium, float(residual[0])])
+
+
+def _parse_system(data: bytes, path):
+    """The seven system arrays of a system file's JSON.  A field that is not
+    a finite number is an :class:`InputFormatError`, a ``dim`` or block that
+    disagrees with the others an :class:`InputDimensionError`."""
+    doc = _parse_json(data, path)
     if not isinstance(doc, dict) or doc.get("kind") != "gradient-system":
         raise InputFormatError(f"{path}: not a gradient-system document")
     where = str(path)
-    matrix = _matrix_from_block(doc.get("matrix"), where + " matrix")
-    onsager = _matrix_from_block(doc.get("onsager"), where + " onsager")
-    hessian = _matrix_from_block(doc.get("hessian"), where + " hessian")
-    transform = _matrix_from_block(doc.get("transform"), where + " transform")
-    try:
-        equilibrium = np.array(doc["equilibrium"], dtype=float)
-        eigenvalues = np.array(doc["eigenvalues"], dtype=float)
-        residual = float(doc["residual"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"{where}: bad system fields ({exc})") from exc
+    dim = doc.get("dim")
+    if type(dim) is not int or dim <= 0:
+        raise InputFormatError(f"{where}: dim must be a positive integer")
+    fields = []
+    for key in _SYSTEM_MATRICES:
+        matrix = _matrix_from_block(doc.get(key), f"{where} {key}")
+        if matrix.shape[0] != dim:
+            raise InputDimensionError(
+                f"{where} {key}: dimension {matrix.shape[0]}, system has {dim}")
+        fields.append(matrix)
+    for key in _SYSTEM_VECTORS:
+        values = doc.get(key)
+        if not isinstance(values, list):
+            raise InputFormatError(f"{where} {key}: expected a list of numbers")
+        if len(values) != dim:
+            raise InputDimensionError(
+                f"{where} {key}: {len(values)} entries, system has dimension {dim}")
+        fields.append(_floats(values, values, f"{where} {key}"))
+    residual = doc.get("residual")
+    fields.append(float(_floats(residual, [residual], f"{where} residual")))
+    return fields
+
+
+def load_system_document(path):
+    """Read a system file: ``(matrix, diagonalisation, system, sha256 digest)``.
+
+    The arrays come from the sidecar when it carries the digest of the
+    bytes read, else from the JSON; the records are validated either way."""
+    data = _read_bytes(path)
+    digest = hashlib.sha256(data).hexdigest()
+    fields = _read_sidecar(path, digest)
+    if fields is None:
+        fields = _parse_system(data, path)
+    del data
+    matrix, onsager, hessian, transform, eigenvalues, equilibrium, residual = fields
     try:
         diag = Diagonalisation(transform, eigenvalues, residual)
         gs = CanonicalGradientSystem(onsager, hessian, equilibrium)
     except ValueError as exc:
-        raise InputDimensionError(f"{where}: inconsistent system ({exc})") from exc
+        raise InputDimensionError(f"{path}: inconsistent system ({exc})") from exc
     return matrix, diag, gs, digest
 
 

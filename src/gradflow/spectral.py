@@ -106,7 +106,7 @@ class Diagonalisation:
         singular = np.linalg.svd(t, compute_uv=False)
         if singular[-1] <= 0.0:
             raise ValueError("transform must be invertible")
-        if self.residual < 0.0:
+        if not self.residual >= 0.0:  # nan too
             raise ValueError("residual must be non-negative")
         object.__setattr__(self, "transform", t)
         object.__setattr__(self, "eigenvalues", w)

@@ -471,6 +471,7 @@ def test_ill_conditioned_transform_exits_5_without_out_file(workdir, capsys, rng
     assert code == 5 and report is None
     assert "transform too ill-conditioned" in err and "Traceback" not in err
     assert not system.exists()
+    assert not (tmp_path / "system.json.cache").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -496,6 +497,8 @@ def test_undecodable_input_and_unwritable_out_exit_2(workdir, capsys, argv):
     code, report, err = run(capsys, *argv)
     assert code == 2 and report is None
     assert "gradflow: parse error" in err and "Traceback" not in err
+    # the only sidecar is the one beside the system file written above
+    assert list(tmp_path.rglob("*.cache")) == [tmp_path / "system.json.cache"]
 
 
 @pytest.mark.parametrize("command, expected", [
