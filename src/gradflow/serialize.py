@@ -296,14 +296,12 @@ def _read_sidecar(path, digest: str):
     sizes = [dim * dim] * len(_SYSTEM_MATRICES) + [dim] * len(_SYSTEM_VECTORS) + [1]
     if dim == 0 or len(data) - end - 1 != 8 * sum(sizes):
         return None
-    arrays, offset = [], end + 1
-    for size in sizes:
-        # + 0.0: a fresh array, and -0.0 becomes the +0.0 the JSON "-0" reads as
-        arrays.append(np.frombuffer(data, dtype="<f8", count=size, offset=offset) + 0.0)
-        offset += 8 * size
-    if not all(np.all(np.isfinite(array)) for array in arrays):
+    body = np.frombuffer(data, dtype="<f8", offset=end + 1)
+    if not np.all(np.isfinite(body)):
         return None
-    *matrices, eigenvalues, equilibrium, residual = arrays
+    # + 0.0: fresh arrays, and -0.0 becomes the +0.0 that the JSON's "-0" reads as
+    *matrices, eigenvalues, equilibrium, residual = (
+        part + 0.0 for part in np.split(body, np.cumsum(sizes)[:-1]))
     return ([m.reshape(dim, dim) for m in matrices]
             + [eigenvalues, equilibrium, float(residual[0])])
 

@@ -88,6 +88,7 @@ def _outputs(capsys, argv):
                          if '"generated_at"' not in line)
 
 
+# The README's three-state matrix with a -0.0, which the system file spells "-0".
 THREE_STATE_ROWS = [[-2.0, -0.0, 2.0], [1.0, -3.0, 2.0], [1.0, 3.0, -4.0]]
 
 
@@ -99,7 +100,7 @@ def _loaded_bits(system):
 
 
 @pytest.mark.parametrize("rows", [
-    THREE_STATE_ROWS,  # its -0.0 is written "-0", which the JSON route reads as +0.0
+    THREE_STATE_ROWS,  # the JSON route reads its "-0" as +0.0
     make_diagonalisation(np.random.default_rng(5), 12, cond=50.0).reconstruct().tolist(),
 ], ids=["three-state-negative-zero", "random-d12"])
 def test_sidecar_and_json_routes_agree(tmp_path, capsys, rows):
