@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import warnings as _warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .serialize import (
     load_system_document,
     render_json,
     save_system_document,
-    system_document,
     write_text,
     write_trajectory_csv,
 )
@@ -118,16 +118,12 @@ def cmd_synthesize(args) -> dict:
     gs = synthesize_canonical(diag, args.tol)
     constants = geometry.convexity_constants(diag)
     residual = verify_flow_identity(matrix, gs).max_residual
-    save_system_document(args.out, system_document(matrix, diag, gs))
+    save_system_document(args.out, matrix, diag, gs)
     results = {
         "out": args.out,
         "flow_residual": residual,
         "spd": True,  # else synthesize_canonical raised IllConditionedError
-        "sup_eigenvalue": constants.sup_eigenvalue,
-        "flat_lambda": constants.flat_lambda,
-        "geodesic_lambda": constants.geodesic_lambda,
-        "flat_factor": constants.flat_factor,
-        "geodesic_factor": constants.geodesic_factor,
+        **asdict(constants),
     }
     return build_report("synthesize", digest, {"tol": args.tol}, results)
 
@@ -151,15 +147,11 @@ def cmd_convexity(args) -> dict:
         diag, constants.geodesic_lambda, pairs=args.samples,
         times=(0.1 / unit, 1.0 / unit, 10.0 / unit), seed=args.seed)
     results = {
-        "sup_eigenvalue": constants.sup_eigenvalue,
-        "flat_lambda": constants.flat_lambda,
-        "geodesic_lambda": constants.geodesic_lambda,
-        "flat_factor": constants.flat_factor,
-        "geodesic_factor": constants.geodesic_factor,
+        **asdict(constants),
         "monotonicity_violation": mono,
         "geodesic_violation": geo,
         "contraction_violation": contraction,
-        "spectrum_nonpositive": geometry.essential_range_check(diag),
+        "spectrum_nonpositive": geometry.essential_range_check(diag, tol=args.tol),
     }
     options = {"tol": args.tol, "samples": args.samples, "seed": args.seed}
     return build_report("convexity", digest, options, results)
@@ -220,12 +212,8 @@ def cmd_simulate(args) -> dict:
         d0 = geometry.metric_distance(diag, trajectory.states[0], companion.states[0])
         gaps = np.linalg.norm(
             (companion.states - trajectory.states) @ diag.transform.T, axis=1)
-        # identical starts stay together: a zero bound, not exp(...) * 0 = nan
-        bounds = 0.0
-        if d0 > 0:
-            with np.errstate(over="ignore"):
-                bounds = np.exp(-lam * trajectory.times) * d0
-        results["contraction_defect"] = float(max(0.0, np.max(gaps - bounds)))
+        results["contraction_defect"] = geometry.contraction_defect(
+            gaps, d0, lam, trajectory.times)
     # written last, so a failed run leaves no complete-looking trajectory
     write_trajectory_csv(args.out, trajectory)
     options = {"method": args.method, "t_end": args.t_end,
@@ -312,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate the flow and audit dissipation")
     p.add_argument("input", help="system JSON file")
-    common(p)
     p.add_argument("--x0", action="append", required=True,
                    help="comma-separated initial state; repeat for a pair")
     p.add_argument("--t-end", type=_bounded(float, 0.0, inclusive=True),

@@ -48,7 +48,7 @@ class NotCriticalError(GradFlowError):
 
 
 class ConvexityConstantsError(GradFlowError):
-    """Convexity constants are not finite or fail their cross-check."""
+    """Convexity constants are not finite doubles."""
 
 
 class FlowOverflowError(GradFlowError):

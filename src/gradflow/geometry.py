@@ -3,13 +3,15 @@
 With a constant Onsager operator the induced distance is flat:
 ``d(x1, x2) = |t (x2 - x1)|`` where ``t`` is the diagonalising transform,
 and geodesics are straight lines.  This module computes that distance, the
-convexity moduli of the quadratic energy in both the ambient norm and the
-transport metric, and certificates for the convexity, monotonicity and
+convexity moduli of the quadratic energy in the ambient norm and in the
+transport metric (each read off one case split on the sign of the largest
+eigenvalue), and certificates for the convexity, monotonicity and
 contraction inequalities over random pairs ``dx = x2 - x1``.  Straight
 geodesics and a quadratic energy make each a closed form in ``dx``: the
 geodesic defect is ``theta (1-theta)/2 (lambda |t dx|^2 - <B dx, dx>)`` at
 every ``theta``, and the flow moves ``t dx`` to ``exp(s w) * (t dx)`` at
-time ``s``.  All of it reads the
+time ``s``.  :func:`contraction_defect` is the one form of the contraction
+bound, shared with the pair audit of ``simulate``.  All of it reads the
 :class:`~gradflow.spectral.Diagonalisation` record: ``transform``,
 ``eigenvalues`` and the two cached operator norms.
 """
@@ -52,13 +54,13 @@ def metric_distance(diag: Diagonalisation, x1, x2) -> float:
 def convexity_constants(diag: Diagonalisation) -> ConvexityConstants:
     """Convexity moduli of the energy synthesized from ``diag``.
 
-    The geodesic modulus is computed directly from the norm case split on
-    the sign of the largest eigenvalue, then cross-checked against the
-    two-step route (ambient modulus followed by the metric-norm transfer);
-    the two must agree by construction.  Raises
-    :class:`~gradflow.errors.ConvexityConstantsError` when a factor or
-    modulus is not a finite double (a transform norm above about 1e154
-    squares out of range) or when the cross-check fails.
+    Each modulus has one route: ``-sup`` times the norm factor of its case
+    split on the sign of the largest eigenvalue ``sup``.  The geodesic
+    modulus equals the ambient one transferred to the transport metric
+    (divided by ``|t|^2`` when positive, multiplied by ``|inv(t)|^2``
+    otherwise).  Raises :class:`~gradflow.errors.ConvexityConstantsError`
+    when a factor or modulus is not a finite double (a transform norm above
+    about 1e154 squares out of range).
     """
     t_norm = diag.transform_norm
     inv_norm = diag.inverse_norm
@@ -72,21 +74,14 @@ def convexity_constants(diag: Diagonalisation) -> ConvexityConstants:
             geo_factor = 1.0 / (inv_norm ** 2 * t_norm ** 2)
         flat_lambda = -sup * flat_factor
         geodesic_lambda = -sup * geo_factor
-        if flat_lambda > 0.0:
-            transferred = flat_lambda / t_norm ** 2
-        else:
-            transferred = flat_lambda * inv_norm ** 2
         finite = all(map(math.isfinite, (flat_factor, geo_factor, flat_lambda,
-                                         geodesic_lambda, transferred)))
+                                         geodesic_lambda)))
     except OverflowError:  # Python float ** raises where * returns inf
         finite = False
     if not finite:
         raise ConvexityConstantsError(
             "convexity constants are not finite doubles (transform norm "
             f"{t_norm:.3g}, inverse norm {inv_norm:.3g})")
-    if not np.isclose(transferred, geodesic_lambda, rtol=1e-12, atol=0.0):
-        raise ConvexityConstantsError(
-            "direct and transferred convexity moduli disagree")
     return ConvexityConstants(sup, flat_lambda, geodesic_lambda,
                               flat_factor, geo_factor)
 
@@ -132,14 +127,27 @@ def check_geodesic_convexity(gs: CanonicalGradientSystem, diag: Diagonalisation,
     return max(0.0, float(np.max(geodesic_lambda * dist_sq - quad))) / 8.0
 
 
+def contraction_defect(gaps, d0, geodesic_lambda: float, times) -> float:
+    """Worst positive defect of ``gaps <= exp(-lambda t) d0``, broadcast over
+    ``gaps``, the starting distances ``d0`` and ``times``.
+
+    A zero ``d0`` bounds by 0: identical starts stay together, and the bound
+    is not ``exp(...) * 0 = nan`` where the exponential overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = np.where(d0 > 0.0, np.exp(-geodesic_lambda * times) * d0, 0.0)
+    return float(max(0.0, np.max(gaps - bounds)))
+
+
 def check_contraction(diag: Diagonalisation, geodesic_lambda: float,
                       pairs: int = 100, times=(0.1, 1.0, 10.0), seed: int = 0) -> float:
     """Worst positive defect of ``d(x1(t), x2(t)) <= exp(-lambda t) d(x1, x2)``.
 
     The exact flow moves ``z = T (x2 - x1)`` to ``exp(t w) * z``, so the
-    defect ``|exp(t w) * z| - exp(-lambda t) |z|`` is maximised over pairs
-    and times.  Raises :class:`~gradflow.errors.FlowOverflowError` when
-    some ``t * w_i`` exceeds the exp range.
+    :func:`contraction_defect` of ``|exp(t w) * z|`` against ``|z|`` is
+    maximised over pairs and times.  Raises
+    :class:`~gradflow.errors.FlowOverflowError` when some ``t * w_i``
+    exceeds the exp range.
     """
     rng = np.random.default_rng(seed)
     z = _pair_differences(rng, pairs, diag.dim) @ diag.transform.T
@@ -147,10 +155,8 @@ def check_contraction(diag: Diagonalisation, geodesic_lambda: float,
     worst = 0.0
     for t in times:
         dt = np.linalg.norm(guarded_exp(t * diag.eigenvalues) * z, axis=1)
-        with np.errstate(over="ignore"):
-            bound = np.exp(-geodesic_lambda * t) * d0
-        worst = max(worst, float(np.max(dt - bound)))
-    return max(0.0, worst)
+        worst = max(worst, contraction_defect(dt, d0, geodesic_lambda, t))
+    return worst
 
 
 def essential_range_check(diag: Diagonalisation, spectrum_bound: float = 0.0,

@@ -235,9 +235,9 @@ def verify_entropic_flow(gen: GeneratorMatrix, structure: EntropicStructure,
     (g_i - g_j)``; the report holds the worst ``|defect| / max(|A x|, 1e-6 |A|_F)``
     (0 for a zero defect) and its point.  ``A`` and ``W`` are read on the
     ``spectral._unit_scale`` copy, so the residual is the same for ``2**k A``.
-    O(samples n^2) work; the samples are drawn and checked in blocks of at
-    most ``_BLOCK_DOUBLES`` doubles per array, so memory does not grow with
-    ``samples``.
+    O(samples n^2) work in one loop over blocks of samples: each block, of
+    at most ``_BLOCK_DOUBLES`` doubles per array, is drawn and checked before
+    the next is drawn, so memory does not grow with ``samples``.
     """
     if not is_reversible(gen, structure.stationary, tol):
         raise NotReversibleError("chain fails detailed balance")
@@ -247,28 +247,24 @@ def verify_entropic_flow(gen: GeneratorMatrix, structure: EntropicStructure,
     weights = np.ldexp(structure.weights, -e)
     velocity_floor = 1e-6 * np.linalg.norm(unit)
     block = max(1, _BLOCK_DOUBLES // dim ** 2)  # samples per n x n flux array
-    draw = block * max(1, _BLOCK_DOUBLES // (block * dim))  # whole blocks per draw
     worst, worst_point = 0.0, None
-    for first in range(0, samples, draw):
-        # Dirichlet draws are chunk-consistent: these equal one draw of all of them
-        chunk = rng.dirichlet(np.ones(dim), size=min(draw, samples - first))
-        chunk = chunk * (1.0 - dim * 1e-3) + 1e-3
-        if np.min(chunk) <= 0.0:
+    for first in range(0, samples, block):
+        # Dirichlet draws are chunk-consistent: the blocks equal one draw of all samples
+        x = rng.dirichlet(np.ones(dim), size=min(block, samples - first))
+        x = x * (1.0 - dim * 1e-3) + 1e-3
+        if np.min(x) <= 0.0:
             raise NonPositiveStateError("state must be strictly positive")
-        residuals = np.zeros(len(chunk))
-        for start in range(0, len(chunk), block):
-            x = chunk[start:start + block]
-            velocity = x @ unit.T
-            ratio = x / structure.stationary
-            grad = np.log(ratio)
-            flux = weights * log_mean(ratio[:, :, None], ratio[:, None, :])
-            flux *= grad[:, :, None] - grad[:, None, :]
-            defect = np.linalg.norm(velocity + flux.sum(axis=2), axis=1)
-            speed = np.maximum(np.linalg.norm(velocity, axis=1), velocity_floor)
-            np.divide(defect, speed, out=residuals[start:start + block], where=defect > 0.0)
+        velocity = x @ unit.T
+        ratio = x / structure.stationary
+        grad = np.log(ratio)
+        flux = weights * log_mean(ratio[:, :, None], ratio[:, None, :])
+        flux *= grad[:, :, None] - grad[:, None, :]
+        defect = np.linalg.norm(velocity + flux.sum(axis=2), axis=1)
+        speed = np.maximum(np.linalg.norm(velocity, axis=1), velocity_floor)
+        residuals = np.divide(defect, speed, out=np.zeros(len(x)), where=defect > 0.0)
         k = int(np.argmax(residuals))
         if worst_point is None or residuals[k] > worst:
-            worst, worst_point = float(residuals[k]), chunk[k]
+            worst, worst_point = float(residuals[k]), x[k]
     return FlowResidualReport(worst, samples, worst_point)
 
 

@@ -204,10 +204,6 @@ def _matrix_from_block(block, what: str) -> np.ndarray:
     return _floats(rows, chain.from_iterable(rows), what)
 
 
-def matrix_block(matrix: np.ndarray) -> dict:
-    return {"dim": int(matrix.shape[0]), "rows": matrix}
-
-
 def load_matrix_document(path) -> tuple[np.ndarray, str]:
     """Read a ``{"dim", "rows"}`` JSON matrix file: ``(matrix, sha256 digest)``."""
     doc, digest = _load_json(path)
@@ -221,23 +217,6 @@ def load_generator_document(path) -> tuple[np.ndarray, str]:
         raise InputFormatError(
             f'{path}: generator files must declare "convention": "transposed"')
     return _matrix_from_block(doc, str(path)), digest
-
-
-def system_document(matrix: np.ndarray, diag: Diagonalisation,
-                    gs: CanonicalGradientSystem) -> dict:
-    """Bundle a synthesized system into one JSON-ready document."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "gradient-system",
-        "dim": int(matrix.shape[0]),
-        "matrix": matrix_block(matrix),
-        "onsager": matrix_block(gs.onsager),
-        "hessian": matrix_block(gs.hessian),
-        "equilibrium": gs.equilibrium,
-        "transform": matrix_block(diag.transform),
-        "eigenvalues": diag.eigenvalues,
-        "residual": float(diag.residual),
-    }
 
 
 def write_text(path, text: str | bytes) -> None:
@@ -259,17 +238,32 @@ def _sidecar_path(path) -> Path:
     return Path(str(path) + ".cache")
 
 
-def save_system_document(path, document: dict) -> None:
-    """Write the system file, then its sidecar; a sidecar that cannot be
-    written is left out, since the JSON file is the product."""
+def save_system_document(path, matrix: np.ndarray, diag: Diagonalisation,
+                         gs: CanonicalGradientSystem) -> None:
+    """The one writer of the system-file layout: the records as one JSON
+    document, then its sidecar, which holds the same arrays in the order
+    :func:`_read_sidecar` splits them.  A sidecar that cannot be written is
+    left out, since the JSON file is the product."""
+    dim = int(matrix.shape[0])
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "gradient-system",
+        "dim": dim,
+        "matrix": {"dim": dim, "rows": matrix},
+        "onsager": {"dim": dim, "rows": gs.onsager},
+        "hessian": {"dim": dim, "rows": gs.hessian},
+        "equilibrium": gs.equilibrium,
+        "transform": {"dim": dim, "rows": diag.transform},
+        "eigenvalues": diag.eigenvalues,
+        "residual": float(diag.residual),
+    }
     data = (render_json(document) + "\n").encode("utf-8")
     write_text(path, data)
-    header = b"%s %s %d\n" % (_SIDECAR_MAGIC, hashlib.sha256(data).hexdigest().encode(),
-                               document["dim"])
+    header = b"%s %s %d\n" % (_SIDECAR_MAGIC, hashlib.sha256(data).hexdigest().encode(), dim)
     del data
-    arrays = ([document[key]["rows"] for key in _SYSTEM_MATRICES]
-              + [document[key] for key in _SYSTEM_VECTORS]
-              + [np.array([document["residual"]])])
+    # _SYSTEM_MATRICES, then _SYSTEM_VECTORS, then the residual
+    arrays = (matrix, gs.onsager, gs.hessian, diag.transform,
+              diag.eigenvalues, gs.equilibrium, np.array([diag.residual]))
     try:
         with open(_sidecar_path(path), "wb") as fh:
             fh.write(header)

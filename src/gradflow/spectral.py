@@ -106,8 +106,8 @@ class Diagonalisation:
         singular = np.linalg.svd(t, compute_uv=False)
         if singular[-1] <= 0.0:
             raise ValueError("transform must be invertible")
-        if not self.residual >= 0.0:  # nan too
-            raise ValueError("residual must be non-negative")
+        if not 0.0 <= self.residual < np.inf:  # nan too
+            raise ValueError("residual must be finite and non-negative")
         object.__setattr__(self, "transform", t)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "transform_norm", float(singular[0]))
@@ -171,6 +171,14 @@ def _is_symmetric(m: np.ndarray, tol: float) -> bool:
     return bool(np.linalg.norm(u - u.T) <= tol * np.linalg.norm(u))
 
 
+def _factorisation_residual(a: np.ndarray, e: int, vectors: np.ndarray,
+                            values: np.ndarray, transform: np.ndarray) -> float:
+    """``|a - vectors diag(values) transform|_F`` on the ``2**-e`` copy of
+    :func:`_unit_scale`, so it neither overflows nor underflows; ``ldexp(r, e)``
+    is the residual in the units of ``a``."""
+    return float(np.linalg.norm(np.ldexp(a - (vectors * values) @ transform, -e)))
+
+
 def _decompose(a: np.ndarray, tol: float):
     """The report, and the certified :class:`Diagonalisation` or ``None``.
 
@@ -203,7 +211,7 @@ def _decompose(a: np.ndarray, tol: float):
             values, vectors = canonical_eigenbasis(
                 *_realify_conjugate_pairs(spectrum, vectors))
             transform = np.linalg.inv(vectors)
-            residual = float(np.linalg.norm(np.ldexp(a - (vectors * values) @ transform, -e)))
+            residual = _factorisation_residual(a, e, vectors, values, transform)
             if not residual <= tol * scale:
                 return defective, None
             diag = Diagonalisation(transform, values, float(np.ldexp(residual, e)))

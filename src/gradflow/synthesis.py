@@ -29,6 +29,7 @@ from .errors import (
 from .spectral import (
     DEFAULT_TOL,
     Diagonalisation,
+    _factorisation_residual,
     _is_symmetric,
     _unit_scale,
     as_square_matrix,
@@ -189,8 +190,9 @@ def recover_diagonalisation(gs: CanonicalGradientSystem, a,
     # Columns of root @ basis are eigenvectors of a.
     eigenvalues, eigenvectors = canonical_eigenbasis(eigenvalues, root @ basis)
     transform = np.linalg.inv(eigenvectors)
-    residual = float(np.linalg.norm(a - (eigenvectors * eigenvalues) @ transform))
-    return Diagonalisation(transform, eigenvalues, residual)
+    _, e = _unit_scale(a)
+    residual = _factorisation_residual(a, e, eigenvectors, eigenvalues, transform)
+    return Diagonalisation(transform, eigenvalues, float(np.ldexp(residual, e)))
 
 
 def _central_difference_jacobian(fn, x0: np.ndarray, step: float, dim: int) -> np.ndarray:

@@ -135,6 +135,20 @@ def test_convexity_command_reports_certificates(workdir, capsys):
     jsonschema.validate(report, REPORT_SCHEMA)
 
 
+def test_convexity_tol_sets_the_spectrum_sign_test(workdir, capsys):
+    # max w = 1e-10 is non-positive at the default 1e-9, positive at 1e-12
+    tmp_path, write = workdir
+    out = str(tmp_path / "system.json")
+    run(capsys, "synthesize", write("a.json", {"dim": 2, "rows": [[-1, 0], [0, 1e-10]]}),
+        "--out", out)
+    _, default, _ = run(capsys, "convexity", out, "--samples", "50")
+    code, strict, _ = run(capsys, "convexity", out, "--samples", "50", "--tol", "1e-12")
+    assert code == 0
+    assert default["results"]["spectrum_nonpositive"] is True
+    assert strict["results"]["spectrum_nonpositive"] is False
+    assert strict["options"]["tol"] == 1e-12
+
+
 def test_convexity_probe_times_scale_with_the_spectrum(workdir, capsys):
     # At fixed times (0.1, 1, 10) t * 80 = 800 left the exp range (exit 5);
     # in units of 1 / max|w| the largest probed growth is exp(10).

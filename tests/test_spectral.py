@@ -14,9 +14,11 @@ from gradflow import (
     nonreversible_three_state,
     nonreversible_three_state_system,
     real_diagonalise,
+    recover_diagonalisation,
     reversible_three_state,
     stationary_distribution,
     symmetric_sqrt,
+    synthesize_canonical,
     validate_generator,
 )
 from gradflow.errors import NotDiagonalisableError, NotSPDError
@@ -133,6 +135,8 @@ def test_diagonalisation_validates_fields():
         Diagonalisation(np.zeros((2, 2)), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         Diagonalisation(np.eye(2), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError):
+        Diagonalisation(np.eye(2), np.array([1.0, 2.0]), float("inf"))
 
 
 def test_sqrt_of_identity():
@@ -206,3 +210,7 @@ def test_verdicts_are_invariant_under_power_of_two_scaling(k):
             np.testing.assert_allclose(pi, stationary_distribution(validate_generator(a)),
                                        rtol=1e-12)
             assert is_reversible(gen, pi) is (name == "paper-reversible")
+            # the residual is taken on the unit-scaled copy: no inf, no 0
+            gs = synthesize_canonical(real_diagonalise(scaled))
+            residual = recover_diagonalisation(gs, scaled).residual * 2.0 ** -k
+            assert 0.0 < residual <= 1e-12 * np.linalg.norm(a), name
