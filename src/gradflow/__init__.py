@@ -7,110 +7,46 @@ geometry: convexity moduli of the energy, geodesic convexity, and the
 contraction estimate ``d(x1(t), x2(t)) <= exp(-lambda t) d(x1(0), x2(0))``.
 A finite-state Markov specialisation covers generator validation and the
 entropy-driven Onsager structure of reversible chains.
+
+``import gradflow`` loads nothing else: each public name below, and each
+layer module, is imported on first use (PEP 562).
 """
 
-from . import errors
-from .errors import GradFlowError
-from .flow import (
-    DissipationReport,
-    Integrator,
-    Trajectory,
-    dissipation_audit,
-    exact_flow,
-    exact_trajectory,
-    minimizing_movement_flow,
-    rk4_flow,
-)
-from .geometry import (
-    ConvexityConstants,
-    check_contraction,
-    check_geodesic_convexity,
-    check_strong_monotonicity,
-    convexity_constants,
-    essential_range_check,
-    metric_distance,
-)
-from .markov import (
-    EntropicStructure,
-    GeneratorMatrix,
-    entropic_onsager,
-    entropic_probe,
-    is_reversible,
-    log_mean,
-    nonreversible_three_state,
-    nonreversible_three_state_system,
-    relative_entropy,
-    reversible_three_state,
-    stationary_distribution,
-    validate_generator,
-    verify_entropic_flow,
-)
-from .spectral import (
-    DEFAULT_TOL,
-    Diagonalisation,
-    FailureKind,
-    SpectralReport,
-    inspect_spectrum,
-    is_spd,
-    real_diagonalise,
-    symmetric_sqrt,
-)
-from .synthesis import (
-    CanonicalGradientSystem,
-    FlowResidualReport,
-    GeneralisedSystemProbe,
-    linearise_generalised,
-    recover_diagonalisation,
-    synthesize_canonical,
-    verify_flow_identity,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CanonicalGradientSystem",
-    "ConvexityConstants",
-    "DEFAULT_TOL",
-    "Diagonalisation",
-    "DissipationReport",
-    "EntropicStructure",
-    "FailureKind",
-    "FlowResidualReport",
-    "GeneralisedSystemProbe",
-    "GeneratorMatrix",
-    "GradFlowError",
-    "Integrator",
-    "SpectralReport",
-    "Trajectory",
-    "check_contraction",
-    "check_geodesic_convexity",
-    "check_strong_monotonicity",
-    "convexity_constants",
-    "dissipation_audit",
-    "entropic_onsager",
-    "entropic_probe",
-    "errors",
-    "essential_range_check",
-    "exact_flow",
-    "exact_trajectory",
-    "inspect_spectrum",
-    "is_reversible",
-    "is_spd",
-    "linearise_generalised",
-    "log_mean",
-    "metric_distance",
-    "minimizing_movement_flow",
-    "nonreversible_three_state",
-    "nonreversible_three_state_system",
-    "real_diagonalise",
-    "recover_diagonalisation",
-    "relative_entropy",
-    "reversible_three_state",
-    "rk4_flow",
-    "stationary_distribution",
-    "symmetric_sqrt",
-    "synthesize_canonical",
-    "validate_generator",
-    "verify_entropic_flow",
-    "verify_flow_identity",
-]
+# Each layer module, with the public names that live in it.
+_LAYERS = {
+    "errors": "GradFlowError",
+    "spectral": """DEFAULT_TOL Diagonalisation FailureKind SpectralReport
+        inspect_spectrum is_spd real_diagonalise symmetric_sqrt""",
+    "synthesis": """CanonicalGradientSystem FlowResidualReport GeneralisedSystemProbe
+        linearise_generalised recover_diagonalisation synthesize_canonical
+        verify_flow_identity""",
+    "geometry": """ConvexityConstants check_contraction check_geodesic_convexity
+        check_strong_monotonicity convexity_constants essential_range_check
+        metric_distance""",
+    "flow": """DissipationReport Integrator Trajectory dissipation_audit exact_flow
+        exact_trajectory minimizing_movement_flow rk4_flow""",
+    "markov": """EntropicStructure GeneratorMatrix entropic_onsager entropic_probe
+        is_reversible log_mean nonreversible_three_state
+        nonreversible_three_state_system relative_entropy reversible_three_state
+        stationary_distribution validate_generator verify_entropic_flow""",
+    "serialize": "",
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names.split()}
+
+__all__ = sorted(["errors", *_HOME])
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _LAYERS:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,7 +10,6 @@ stdout as deterministic JSON; set the GRADFLOW_LOG environment variable
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
@@ -19,15 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import geometry, markov
 from .errors import ColumnSumError, GradFlowError, NegativeRateError
-from .flow import (
-    Integrator,
-    exact_trajectory,
-    dissipation_audit,
-    minimizing_movement_flow,
-    rk4_flow,
-)
 from .serialize import (
     InputDimensionError,
     InputFormatError,
@@ -41,7 +32,6 @@ from .serialize import (
     write_trajectory_csv,
 )
 from .spectral import DEFAULT_TOL, inspect_spectrum, real_diagonalise
-from .synthesis import synthesize_canonical, verify_flow_identity
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,8 +42,6 @@ EXIT_NUMERIC = 5
 # Largest --samples, --nodes or --t-end / --step: each count sizes an array,
 # so a larger one is refused (exit 2) before anything is allocated.
 MAX_COUNT = 2 ** 24
-
-log = logging.getLogger("gradflow")
 
 _FAILURE_LABELS = {EXIT_PRECONDITION: "precondition failed",
                    EXIT_NUMERIC: "numeric failure"}
@@ -100,6 +88,20 @@ def _bounded(kind, low, inclusive: bool, high=math.inf):
 _count = _bounded(int, 0, inclusive=False, high=MAX_COUNT)
 
 
+def _integrator(text: str):
+    """argparse type of ``simulate --method``: an ``Integrator`` by its value.
+
+    It loads ``flow`` only when ``simulate`` is the command."""
+    from .flow import Integrator
+
+    try:
+        return Integrator(text)
+    except ValueError:
+        choices = ", ".join(repr(m.value) for m in Integrator)
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {choices})") from None
+
+
 def cmd_analyze(args) -> dict:
     matrix, digest = load_matrix_document(args.input)
     report = inspect_spectrum(matrix, args.tol)
@@ -113,6 +115,9 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_synthesize(args) -> dict:
+    from . import geometry
+    from .synthesis import synthesize_canonical, verify_flow_identity
+
     matrix, digest = load_matrix_document(args.input)
     diag = real_diagonalise(matrix, args.tol)
     gs = synthesize_canonical(diag, args.tol)
@@ -129,6 +134,8 @@ def cmd_synthesize(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    from .synthesis import verify_flow_identity
+
     matrix, _, gs, digest = load_system_document(args.input)
     residual = verify_flow_identity(matrix, gs).max_residual
     results = {"max_residual": residual, "passed": bool(residual <= args.tol)}
@@ -136,6 +143,8 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_convexity(args) -> dict:
+    from . import geometry
+
     _, diag, gs, digest = load_system_document(args.input)
     constants = geometry.convexity_constants(diag)
     mono = geometry.check_strong_monotonicity(
@@ -158,25 +167,27 @@ def cmd_convexity(args) -> dict:
 
 
 def _simulate_one(args, matrix, diag, gs, x0):
-    method = Integrator(args.method)
-    if method is Integrator.EXACT:
-        if args.step is not None:
-            nodes = int(round(args.t_end / args.step)) + 1
-        else:
-            nodes = args.nodes
-        return exact_trajectory(diag, x0, args.t_end, nodes)
+    from . import flow
+
+    method = args.method
     if args.step is None:
-        raise InputFormatError(f"--step is required for method {args.method!r}")
+        if method is not flow.Integrator.EXACT:
+            raise InputFormatError(f"--step is required for method {method.value!r}")
+        return flow.exact_trajectory(diag, x0, args.t_end, args.nodes)
     if args.step > args.t_end:
         raise InputFormatError(
             f"--step {args.step:g} exceeds --t-end {args.t_end:g} for method "
-            f"{args.method!r}")
-    if method is Integrator.RK4:
-        return rk4_flow(matrix, x0, args.t_end, args.step)
-    return minimizing_movement_flow(gs, diag, x0, args.t_end, args.step)
+            f"{method.value!r}")
+    if method is flow.Integrator.EXACT:  # the nodes rk4 and mm step through
+        return flow._exact_at(diag, x0, flow._step_times(args.t_end, args.step)[0])
+    if method is flow.Integrator.RK4:
+        return flow.rk4_flow(matrix, x0, args.t_end, args.step)
+    return flow.minimizing_movement_flow(gs, diag, x0, args.t_end, args.step)
 
 
 def cmd_simulate(args) -> dict:
+    from . import flow
+
     if args.step is not None and args.t_end > MAX_COUNT * args.step:
         raise InputFormatError(
             f"--t-end / --step exceeds {MAX_COUNT} steps; raise --step")
@@ -194,7 +205,7 @@ def cmd_simulate(args) -> dict:
             companion = _simulate_one(args, matrix, diag, gs, states[1])
         caught = [str(w.message) for w in collected]
 
-    audit = dissipation_audit(gs, trajectory)
+    audit = flow.dissipation_audit(gs, trajectory)
     results = {
         "out": args.out,
         "method": trajectory.method.value,
@@ -208,6 +219,8 @@ def cmd_simulate(args) -> dict:
         "contraction_defect": None,
     }
     if companion is not None:
+        from . import geometry
+
         lam = geometry.convexity_constants(diag).geodesic_lambda
         d0 = geometry.metric_distance(diag, trajectory.states[0], companion.states[0])
         gaps = np.linalg.norm(
@@ -216,12 +229,14 @@ def cmd_simulate(args) -> dict:
             gaps, d0, lam, trajectory.times)
     # written last, so a failed run leaves no complete-looking trajectory
     write_trajectory_csv(args.out, trajectory)
-    options = {"method": args.method, "t_end": args.t_end,
+    options = {"method": args.method.value, "t_end": args.t_end,
                "step": args.step, "nodes": args.nodes}
     return build_report("simulate", digest, options, results, caught)
 
 
 def cmd_markov(args) -> dict:
+    from . import markov
+
     matrix, digest = load_generator_document(args.input)
     options = {"subcommand": args.subcommand, "tol": args.tol,
                "samples": args.samples, "seed": args.seed}
@@ -304,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated initial state; repeat for a pair")
     p.add_argument("--t-end", type=_bounded(float, 0.0, inclusive=True),
                    required=True, dest="t_end")
-    p.add_argument("--method", choices=[m.value for m in Integrator],
-                   default="exact")
+    p.add_argument("--method", type=_integrator, default="exact",
+                   help="integrator (default exact)")
     p.add_argument("--step", type=_bounded(float, 0.0, inclusive=False),
-                   help="step size (required for rk4 and mm)")
+                   help="step size (required for rk4 and mm; exact samples their nodes)")
     p.add_argument("--nodes", type=_count, default=200,
                    help="exact-method sample count (default 200)")
     p.add_argument("--out", required=True, help="trajectory CSV to write")
@@ -323,18 +338,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
+def _log_command(command: str) -> None:
+    """Diagnostics on stderr at the GRADFLOW_LOG level; ``logging`` loads only then."""
     level_name = os.environ.get("GRADFLOW_LOG", "").upper()
+    if not level_name:
+        return
+    import logging
+
     level = getattr(logging, level_name, None)
     if isinstance(level, int):
         logging.basicConfig(level=level, stream=sys.stderr,
                             format="%(name)s %(levelname)s %(message)s")
+        logging.getLogger("gradflow").debug("command %s", command)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _configure_logging()
-    log.debug("command %s", args.command)
+    _log_command(args.command)
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):  # so exit 5
             text = render_json(args.handler(args))

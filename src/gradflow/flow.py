@@ -93,7 +93,11 @@ def exact_trajectory(diag: Diagonalisation, x0, t_end: float,
         raise ValueError("need at least one node")
     if t_end == 0.0:
         return Trajectory(np.zeros(1), x0[None, :], Integrator.EXACT)
-    times = np.linspace(0.0, t_end, max(nodes, 2))
+    return _exact_at(diag, x0, np.linspace(0.0, t_end, max(nodes, 2)))
+
+
+def _exact_at(diag: Diagonalisation, x0: np.ndarray, times: np.ndarray) -> Trajectory:
+    """The exact flow from the state ``x0`` sampled at ``times`` (from 0, increasing)."""
     growth = guarded_exp(np.outer(times, diag.eigenvalues))
     states = _modal_rows(diag.eigenvectors, growth, diag.transform, x0)
     states[0] = x0

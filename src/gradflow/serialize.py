@@ -33,9 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import Diagonalisation
-from .synthesis import CanonicalGradientSystem
-
 SCHEMA_VERSION = "1"
 
 REPORT_SCHEMA = {
@@ -336,6 +333,9 @@ def load_system_document(path):
 
     The arrays come from the sidecar when it carries the digest of the
     bytes read, else from the JSON; the records are validated either way."""
+    from .spectral import Diagonalisation
+    from .synthesis import CanonicalGradientSystem
+
     data = _read_bytes(path)
     digest = hashlib.sha256(data).hexdigest()
     fields = _read_sidecar(path, digest)

@@ -254,6 +254,34 @@ def test_simulate_missing_step_for_rk4_exits_2(workdir, capsys):
     assert code == 2
 
 
+def test_simulate_methods_share_the_step_grid(workdir, capsys):
+    """With --step every method writes the nodes 0, step, 2 step, ..., t_end."""
+    tmp_path, write = workdir
+    system = str(tmp_path / "system.json")
+    run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", system)
+    columns = {}
+    for method in ("exact", "rk4", "mm"):
+        csv = tmp_path / f"{method}.csv"
+        code, report, _ = run(capsys, "simulate", system, "--x0", "1,0,0", "--t-end", "1",
+                              "--method", method, "--step", "0.3", "--out", str(csv))
+        assert code == 0 and report["results"]["nodes"] == 5
+        columns[method] = [line.split(",")[0] for line in csv.read_text().splitlines()]
+    assert columns["exact"] == columns["rk4"] == columns["mm"]
+    assert [float(t) for t in columns["exact"][1:]] == pytest.approx([0, 0.3, 0.6, 0.9, 1])
+
+
+def test_simulate_unknown_method_exits_2_naming_the_choices(workdir, capsys):
+    tmp_path, write = workdir
+    system = str(tmp_path / "system.json")
+    run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", system)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", system, "--x0", "1,0,0", "--t-end", "1", "--method", "euler",
+              "--out", str(tmp_path / "t.csv")])
+    assert exc.value.code == 2
+    assert ("argument --method: invalid choice: 'euler' (choose from 'exact', 'rk4', 'mm')"
+            in capsys.readouterr().err)
+
+
 def test_simulate_x0_length_mismatch_exits_3(workdir, capsys):
     tmp_path, write = workdir
     system = str(tmp_path / "system.json")
@@ -414,6 +442,10 @@ HUGE = "1" + "0" * 21  # 1e21 as an integer
     ("convexity", "{system}", "--samples", "1" + "0" * 400),
     ("markov", "{generator}", "entropic-verify", "--samples", HUGE),
     ("markov", "{generator}", "entropic-verify", "--seed", "-1"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--method", "exact",
+     "--step", "2"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--x0", "0,1,0", "--x0", "0,0,1",
+     "--t-end", "1"),
 ])
 def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
     tmp_path, write = workdir
