@@ -360,7 +360,7 @@ def main(argv=None) -> int:
             text = render_json(args.handler(args))
         out_report = getattr(args, "out", None)
         if out_report and args.command not in ("synthesize", "simulate"):
-            write_text(out_report, text + "\n")
+            write_text(out_report, (text, "\n"))
     except InputFormatError as exc:
         print(f"gradflow: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

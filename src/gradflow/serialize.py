@@ -6,7 +6,8 @@ refused without it.  Synthesized systems bundle every object in one JSON
 document.  Trajectories are CSV with header ``t,x1,...,xd``.  All
 floating-point output is rendered with 17 significant digits so doubles
 round-trip exactly, and reports are emitted deterministically (stable key
-order, no locale dependence).
+order, no locale dependence).  Every text file goes out through
+:func:`write_text`, which encodes, hashes and writes it a piece at a time.
 
 Beside a system file ``sys.json`` gradflow also writes a binary sidecar
 ``sys.json.cache``: one header line ``gradflow-system-cache <sha256> <d>``,
@@ -72,8 +73,9 @@ def _float_row(row, sep: str) -> str:
     return sep.join(["%.17g"] * len(row)) % tuple(row)
 
 
-def render_json(value) -> str:
-    """Deterministic JSON with floats at 17 significant digits.
+def json_pieces(value, depth: int = 0):
+    """Deterministic JSON with floats at 17 significant digits, as a stream
+    of ``str`` pieces, so a large document need never exist whole.
 
     The standard encoder cannot hook float formatting, so this walks the
     structure directly.  Dict key order is preserved (callers build reports
@@ -84,67 +86,53 @@ def render_json(value) -> str:
     n-D array puts each innermost row on its own line.  Non-finite floats
     raise ``ValueError``.
     """
-    pieces: list[str] = []
-
-    def emit_items(items, depth: int, emit_item) -> None:
-        if not items:
-            pieces.append("[]")
+    if value is None:
+        yield "null"
+    elif isinstance(value, (bool, np.bool_)):
+        yield "true" if value else "false"
+    elif isinstance(value, (int, np.integer)):
+        yield str(int(value))
+    elif isinstance(value, (float, np.floating)):
+        x = float(value)
+        if not np.isfinite(x):
+            raise ValueError("non-finite float in JSON document")
+        yield format(x, ".17g")
+    elif isinstance(value, str):
+        yield json.dumps(value)
+    elif isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim:
+        if not np.isfinite(value).all():
+            raise ValueError("non-finite float in JSON document")
+        if value.ndim == 1:
+            yield "[" + _float_row(value, ", ") + "]"
+        else:
+            yield from json_pieces(list(value), depth)
+    elif isinstance(value, np.ndarray):
+        yield from json_pieces(value.tolist(), depth)
+    elif isinstance(value, (list, tuple, dict)):
+        brackets = "{}" if isinstance(value, dict) else "[]"
+        if not value:
+            yield brackets
             return
+        yield brackets[0] + "\n"
         inner = _INDENT * (depth + 1)
-        pieces.append("[\n")
-        for i, item in enumerate(items):
-            pieces.append(inner)
-            emit_item(item, depth + 1)
-            pieces.append(",\n" if i + 1 < len(items) else "\n")
-        pieces.append(_INDENT * depth + "]")
+        for i, item in enumerate(value):  # a dict's items are its keys
+            if isinstance(value, dict):
+                if not isinstance(item, str):
+                    raise TypeError(f"JSON object keys must be strings, got {item!r}")
+                yield inner + json.dumps(item) + ": "
+                item = value[item]
+            else:
+                yield inner
+            yield from json_pieces(item, depth + 1)
+            yield ",\n" if i + 1 < len(value) else "\n"
+        yield _INDENT * depth + brackets[1]
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
-    def emit_array(array: np.ndarray, depth: int) -> None:
-        if array.ndim == 1:
-            pieces.append("[" + _float_row(array, ", ") + "]")
-        else:
-            emit_items(list(array), depth, emit_array)
 
-    def emit(node, depth: int) -> None:
-        if node is None:
-            pieces.append("null")
-        elif isinstance(node, (bool, np.bool_)):
-            pieces.append("true" if node else "false")
-        elif isinstance(node, (int, np.integer)):
-            pieces.append(str(int(node)))
-        elif isinstance(node, (float, np.floating)):
-            x = float(node)
-            if not np.isfinite(x):
-                raise ValueError("non-finite float in JSON document")
-            pieces.append(format(x, ".17g"))
-        elif isinstance(node, str):
-            pieces.append(json.dumps(node))
-        elif isinstance(node, np.ndarray) and node.dtype.kind == "f" and node.ndim:
-            if not np.isfinite(node).all():
-                raise ValueError("non-finite float in JSON document")
-            emit_array(node, depth)
-        elif isinstance(node, np.ndarray):
-            emit(node.tolist(), depth)
-        elif isinstance(node, (list, tuple)):
-            emit_items(list(node), depth, emit)
-        elif isinstance(node, dict):
-            if not node:
-                pieces.append("{}")
-                return
-            inner = _INDENT * (depth + 1)
-            pieces.append("{\n")
-            keys = list(node)
-            for i, key in enumerate(keys):
-                if not isinstance(key, str):
-                    raise TypeError(f"JSON object keys must be strings, got {key!r}")
-                pieces.append(inner + json.dumps(key) + ": ")
-                emit(node[key], depth + 1)
-                pieces.append(",\n" if i + 1 < len(keys) else "\n")
-            pieces.append(_INDENT * depth + "}")
-        else:
-            raise TypeError(f"cannot serialize {type(node).__name__}")
-
-    emit(value, 0)
-    return "".join(pieces)
+def render_json(value) -> str:
+    """:func:`json_pieces` joined into one string."""
+    return "".join(json_pieces(value))
 
 
 def _read_bytes(path) -> bytes:
@@ -216,14 +204,20 @@ def load_generator_document(path) -> tuple[np.ndarray, str]:
     return _matrix_from_block(doc, str(path)), digest
 
 
-def write_text(path, text: str | bytes) -> None:
-    """Write ``text`` (UTF-8 encoded if a ``str``) to ``path``; an unwritable
-    path is an input error."""
-    data = text.encode("utf-8") if isinstance(text, str) else text
+def write_text(path, pieces) -> str:
+    """Write the ``str`` pieces to ``path`` as UTF-8, encoding and hashing
+    one piece at a time, and return the sha256 hex digest of the bytes
+    written; an unwritable path is an input error."""
+    digest = hashlib.sha256()
     try:
-        Path(path).write_bytes(data)
+        with open(path, "wb") as fh:
+            for piece in pieces:
+                data = piece.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
     except OSError as exc:
         raise InputFormatError(f"cannot write {path}: {exc}") from exc
+    return digest.hexdigest()
 
 
 _SIDECAR_MAGIC = b"gradflow-system-cache"
@@ -254,10 +248,8 @@ def save_system_document(path, matrix: np.ndarray, diag: Diagonalisation,
         "eigenvalues": diag.eigenvalues,
         "residual": float(diag.residual),
     }
-    data = (render_json(document) + "\n").encode("utf-8")
-    write_text(path, data)
-    header = b"%s %s %d\n" % (_SIDECAR_MAGIC, hashlib.sha256(data).hexdigest().encode(), dim)
-    del data
+    digest = write_text(path, chain(json_pieces(document), ["\n"]))
+    header = b"%s %s %d\n" % (_SIDECAR_MAGIC, digest.encode(), dim)
     # _SYSTEM_MATRICES, then _SYSTEM_VECTORS, then the residual
     arrays = (matrix, gs.onsager, gs.hessian, diag.transform,
               diag.eigenvalues, gs.equilibrium, np.array([diag.residual]))
@@ -354,10 +346,9 @@ def load_system_document(path):
 def write_trajectory_csv(path, trajectory) -> None:
     """CSV with header ``t,x1,...,xd``, one row per node, 17 significant digits."""
     dim = trajectory.states.shape[1]
-    lines = ["t," + ",".join(f"x{i + 1}" for i in range(dim))]
+    header = "t," + ",".join(f"x{i + 1}" for i in range(dim)) + "\n"
     table = np.column_stack((trajectory.times, trajectory.states))
-    lines.extend(_float_row(row, ",") for row in table)
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, chain([header], (_float_row(row, ",") + "\n" for row in table)))
 
 
 def build_report(command: str, inputs_digest: str, options: dict,

@@ -547,6 +547,26 @@ def test_undecodable_input_and_unwritable_out_exit_2(workdir, capsys, argv):
     assert list(tmp_path.rglob("*.cache")) == [tmp_path / "system.json.cache"]
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{matrix}"),
+    ("synthesize", "{matrix}"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1"),
+])
+def test_write_failing_after_open_exits_2(workdir, capsys, argv):
+    """/dev/full opens, then refuses every byte: the failure comes from a
+    write or the final flush, not from opening the file."""
+    tmp_path, write = workdir
+    matrix = write("a.json", THREE_STATE_DOC)
+    system = str(tmp_path / "system.json")
+    assert main(["synthesize", matrix, "--out", system]) == 0
+    capsys.readouterr()
+    argv = [a.format(matrix=matrix, system=system) for a in argv]
+    code, report, err = run(capsys, *argv, "--out", "/dev/full")
+    assert code == 2 and report is None
+    assert "cannot write /dev/full" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, expected", [
     ("analyze", {"eig": 1, "svd": 1, "inv": 1}),
     ("synthesize", {"eig": 1, "svd": 1, "eigvalsh": 1, "inv": 2}),

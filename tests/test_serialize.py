@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,8 +11,16 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gradflow import synthesize_canonical
 from gradflow.cli import main
-from gradflow.serialize import load_system_document, render_json, write_trajectory_csv
+from gradflow.serialize import (
+    json_pieces,
+    load_system_document,
+    render_json,
+    save_system_document,
+    write_text,
+    write_trajectory_csv,
+)
 
 from conftest import make_diagonalisation
 
@@ -48,6 +57,47 @@ def test_non_finite_entry_in_matrix_raises(bad):
     matrix[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         render_json({"rows": matrix})
+
+
+@pytest.mark.parametrize("value", [
+    [],
+    {},
+    np.array(0.1),
+    np.array([[1.0, -0.0], [5e-324, 1.7e308]]),
+    {"a": {"b": [1, 2.5, None, True, "x\u00e9"], "c": {}}, "d": np.arange(3)},
+], ids=["empty-list", "empty-dict", "0-d-array", "2-d-array", "nested-dicts"])
+def test_json_pieces_join_to_render_json(value):
+    text = render_json(value)
+    assert "".join(json_pieces(value)) == text
+    assert json.loads(text) == json.loads(json.dumps(value, default=np.ndarray.tolist))
+
+
+def test_write_text_returns_the_digest_of_the_bytes_on_disk(tmp_path):
+    path = tmp_path / "out.txt"
+    digest = write_text(path, iter(["gradflow ", "\u2207F ", "", "caf\u00e9\n"]))
+    data = path.read_bytes()
+    assert data == "gradflow \u2207F caf\u00e9\n".encode("utf-8")
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+def test_system_file_is_written_without_a_whole_copy_in_memory(tmp_path, rng):
+    """The document streams to disk a row at a time: the traced peak stays
+    below half the file, where rendering it whole would hold several copies."""
+    diag = make_diagonalisation(rng, 200, cond=100.0)
+    matrix = diag.reconstruct()
+    gs = synthesize_canonical(diag)
+    path = tmp_path / "system.json"
+    tracemalloc.start()
+    try:
+        save_system_document(path, matrix, diag, gs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 3_000_000
+    assert peak < size / 2
+    header = _sidecar(path).read_bytes().split(b"\n", 1)[0].split(b" ")
+    assert header[1].decode() == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_system_file_has_one_line_per_matrix_row(tmp_path, capsys):
