@@ -156,8 +156,9 @@ def log_mean(a, b):
 
     Accepts scalars or broadcastable arrays of strictly positive numbers.
     Evaluated as ``|a - b| / log1p(|a - b| / min(a, b))``, exactly symmetric in
-    ``a, b``; only entries whose log gap is below 1e-8, where that cancels, take
-    the series ``m (1 - u^2 / 3)``, ``m = (a + b)/2`` and ``u = (a - b)/(a + b)``.
+    ``a, b`` (the gap is ``log max - log min`` where that ratio overflows); only
+    entries whose log gap is below 1e-8, where that cancels, take the series
+    ``m (1 - u^2 / 3)``, ``m = (a + b)/2`` and ``u = (a - b)/(a + b)``.
     """
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
@@ -165,8 +166,11 @@ def log_mean(a, b):
         raise NonPositiveInputError("logarithmic mean needs positive arguments")
     small = np.minimum(a_arr, b_arr)
     spread = np.abs(a_arr - b_arr)
-    gap = np.log1p(spread / small)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gap = np.asarray(np.log1p(spread / small))
+        # a ratio beyond the double range: there spread is max(a, b) exactly
+        wide = np.flatnonzero(np.isinf(gap))
+        gap.flat[wide] = np.log(spread.flat[wide]) - np.log(small.flat[wide])
         out = np.asarray(spread / gap)
     near = np.flatnonzero(gap < _LOG_MEAN_BRANCH)
     # a - b is exact for near-equal pairs (Sterbenz), so low + diff is max(a, b)
@@ -229,15 +233,15 @@ def verify_entropic_flow(gen: GeneratorMatrix, structure: EntropicStructure,
     """Sampled check of ``generator @ x = -mobility(x) @ entropy_grad(x)``.
 
     Requires reversibility (the entropic structure only matches the flow of
-    reversible chains); raises :class:`NotReversibleError` otherwise.  At
-    interior probability vectors ``x`` (coordinates >= 1e-3), with ``r = x / pi``
-    and ``g = log r``, the defect is ``A x + sum_j W_ij log_mean(r_i, r_j)
-    (g_i - g_j)``; the report holds the worst ``|defect| / max(|A x|, 1e-6 |A|_F)``
-    (0 for a zero defect) and its point.  ``A`` and ``W`` are read on the
-    ``spectral._unit_scale`` copy, so the residual is the same for ``2**k A``.
-    O(samples n^2) work in one loop over blocks of samples: each block, of
-    at most ``_BLOCK_DOUBLES`` doubles per array, is drawn and checked before
-    the next is drawn, so memory does not grow with ``samples``.
+    reversible chains); raises :class:`NotReversibleError` otherwise.  As
+    ``log_mean(r_i, r_j) (log r_i - log r_j) = r_i - r_j`` with ``r = x / pi``,
+    the defect is ``E x`` for the fixed ``E = A + L(W) diag(pi)^-1``, where
+    ``L(W)`` is the graph Laplacian of the weights.  At interior probability
+    vectors ``x`` (coordinates >= ``min(1e-3, 1/(2n))``) the report holds the
+    worst ``|E x| / max(|A x|, 1e-6 |A|_F)`` (0 for a zero defect) and its point.
+    ``A`` and ``W`` are read on the ``spectral._unit_scale`` copy, so the
+    residual is the same for ``2**k A``.  Samples are drawn and checked in blocks
+    of ``_BLOCK_DOUBLES // n``, so memory does not grow with ``samples``.
     """
     if not is_reversible(gen, structure.stationary, tol):
         raise NotReversibleError("chain fails detailed balance")
@@ -245,22 +249,18 @@ def verify_entropic_flow(gen: GeneratorMatrix, structure: EntropicStructure,
     dim = gen.dim
     unit, e = _unit_scale(gen.matrix)
     weights = np.ldexp(structure.weights, -e)
+    np.fill_diagonal(weights, 0.0)
+    defect_matrix = unit + (np.diag(weights.sum(axis=1)) - weights) / structure.stationary
     velocity_floor = 1e-6 * np.linalg.norm(unit)
-    block = max(1, _BLOCK_DOUBLES // dim ** 2)  # samples per n x n flux array
+    interior = min(1e-3, 0.5 / dim)  # so that dim * interior <= 1/2
+    block = max(1, _BLOCK_DOUBLES // dim)  # samples per block
     worst, worst_point = 0.0, None
     for first in range(0, samples, block):
         # Dirichlet draws are chunk-consistent: the blocks equal one draw of all samples
         x = rng.dirichlet(np.ones(dim), size=min(block, samples - first))
-        x = x * (1.0 - dim * 1e-3) + 1e-3
-        if np.min(x) <= 0.0:
-            raise NonPositiveStateError("state must be strictly positive")
-        velocity = x @ unit.T
-        ratio = x / structure.stationary
-        grad = np.log(ratio)
-        flux = weights * log_mean(ratio[:, :, None], ratio[:, None, :])
-        flux *= grad[:, :, None] - grad[:, None, :]
-        defect = np.linalg.norm(velocity + flux.sum(axis=2), axis=1)
-        speed = np.maximum(np.linalg.norm(velocity, axis=1), velocity_floor)
+        x = x * (1.0 - dim * interior) + interior
+        defect = np.linalg.norm(x @ defect_matrix.T, axis=1)
+        speed = np.maximum(np.linalg.norm(x @ unit.T, axis=1), velocity_floor)
         residuals = np.divide(defect, speed, out=np.zeros(len(x)), where=defect > 0.0)
         k = int(np.argmax(residuals))
         if worst_point is None or residuals[k] > worst:

@@ -7,7 +7,8 @@ document.  Trajectories are CSV with header ``t,x1,...,xd``.  All
 floating-point output is rendered with 17 significant digits so doubles
 round-trip exactly, and reports are emitted deterministically (stable key
 order, no locale dependence).  Every text file goes out through
-:func:`write_text`, which encodes, hashes and writes it a piece at a time.
+:func:`write_text`, which encodes, hashes and writes it a piece at a time
+to a temporary file that replaces the target only once it is whole.
 
 Beside a system file ``sys.json`` gradflow also writes a binary sidecar
 ``sys.json.cache``: one header line ``gradflow-system-cache <sha256> <d>``,
@@ -29,6 +30,9 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import os
+import stat
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -204,19 +208,51 @@ def load_generator_document(path) -> tuple[np.ndarray, str]:
     return _matrix_from_block(doc, str(path)), digest
 
 
+@contextmanager
+def _whole_file(path):
+    """A binary handle whose bytes reach ``path`` only if the block completes.
+
+    A missing or regular target is written to a temporary file beside it,
+    which replaces the target on success and is removed on failure, so a
+    failed write leaves the earlier file or none.  Any other target (a
+    device, a FIFO, a symlink) is written in place: a rename onto
+    ``/dev/full`` would replace the device node."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    fh = open(temp, "xb")
+    try:
+        with fh:
+            yield fh
+        if mode is not None:
+            os.chmod(temp, stat.S_IMODE(mode))
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def write_text(path, pieces) -> str:
     """Write the ``str`` pieces to ``path`` as UTF-8, encoding and hashing
     one piece at a time, and return the sha256 hex digest of the bytes
-    written; an unwritable path is an input error."""
+    written; the file is whole or absent (:func:`_whole_file`), and an
+    unwritable path is an input error."""
     digest = hashlib.sha256()
     try:
-        with open(path, "wb") as fh:
+        with _whole_file(path) as fh:
             for piece in pieces:
                 data = piece.encode("utf-8")
                 digest.update(data)
                 fh.write(data)
     except OSError as exc:
-        raise InputFormatError(f"cannot write {path}: {exc}") from exc
+        raise InputFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return digest.hexdigest()
 
 
@@ -234,7 +270,8 @@ def save_system_document(path, matrix: np.ndarray, diag: Diagonalisation,
     """The one writer of the system-file layout: the records as one JSON
     document, then its sidecar, which holds the same arrays in the order
     :func:`_read_sidecar` splits them.  A sidecar that cannot be written is
-    left out, since the JSON file is the product."""
+    left out, since the JSON file is the product; an earlier one is then
+    read only while its digest is still that of the JSON."""
     dim = int(matrix.shape[0])
     document = {
         "schema_version": SCHEMA_VERSION,
@@ -254,7 +291,7 @@ def save_system_document(path, matrix: np.ndarray, diag: Diagonalisation,
     arrays = (matrix, gs.onsager, gs.hessian, diag.transform,
               diag.eigenvalues, gs.equilibrium, np.array([diag.residual]))
     try:
-        with open(_sidecar_path(path), "wb") as fh:
+        with _whole_file(_sidecar_path(path)) as fh:
             fh.write(header)
             for array in arrays:
                 np.asarray(array, dtype="<f8").tofile(fh)

@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -565,6 +568,50 @@ def test_write_failing_after_open_exits_2(workdir, capsys, argv):
     code, report, err = run(capsys, *argv, "--out", "/dev/full")
     assert code == 2 and report is None
     assert "cannot write /dev/full" in err and "Traceback" not in err
+
+
+#: A child that caps the size of the files it writes at 2 KiB, then runs the CLI.
+_CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_FSIZE, (2048, 2048))
+from gradflow.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("earlier", [None, b"an earlier file\n"])
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{matrix}"),
+    ("synthesize", "{matrix}"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1"),
+])
+def test_write_cut_short_leaves_the_earlier_file_or_none(workdir, capsys, argv, earlier):
+    """Each ``--out`` below is over 2 KiB, so the capped child's write fails
+    part-way (EFBIG): it exits 2, and the target is absent or the earlier
+    file byte for byte, with nothing else left in the directory."""
+    pytest.importorskip("resource")
+    tmp_path, write = workdir
+    planted = make_diagonalisation(np.random.default_rng(50), 50, min_gap=0.01)
+    matrix = write("a.json", {"dim": 50, "rows": planted.reconstruct().tolist()})
+    system = str(tmp_path / "system.json")
+    assert main(["synthesize", write("b.json", THREE_STATE_DOC), "--out", system]) == 0
+    capsys.readouterr()
+    target = tmp_path / "out"
+    if earlier is not None:
+        target.write_bytes(earlier)
+    before = sorted(tmp_path.iterdir())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    argv = [a.format(matrix=matrix, system=system) for a in argv]
+    child = subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv, "--out", str(target)],
+                           capture_output=True, text=True, env=env, check=False)
+    assert child.returncode == 2, child.stderr
+    assert "cannot write" in child.stderr and "Traceback" not in child.stderr
+    assert sorted(tmp_path.iterdir()) == before
+    if earlier is None:
+        assert not target.exists()
+    else:
+        assert target.read_bytes() == earlier
 
 
 @pytest.mark.parametrize("command, expected", [

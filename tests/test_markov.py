@@ -128,6 +128,30 @@ def test_log_mean_mean_inequalities(a, b):
     assert log_mean(b, a) == pytest.approx(m, rel=1e-12)
 
 
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@given(st.one_of(
+    st.tuples(_positive, _positive),  # ratios up to 1e+-600
+    st.tuples(_positive, st.floats(-1e-6, 1e-6)).map(lambda p: (p[0], p[0] * (1.0 + p[1]))),
+    st.tuples(_positive, st.integers(-64, 64)).map(
+        lambda p: (p[0], p[0] * (1.0 + p[1] * 2.0 ** -52))),
+))
+def test_log_mean_times_the_log_gap_is_the_difference(pair):
+    """``log_mean(a, b) (log a - log b) = a - b``, the identity that makes the
+    entropic flow check one fixed matrix; a ratio beyond the double range once
+    read 0."""
+    import mpmath
+
+    a, b = pair
+    m = log_mean(a, b)
+    assert min(a, b) <= m <= max(a, b)
+    with mpmath.workdps(50):
+        hi_a, hi_b = mpmath.mpf(a), mpmath.mpf(b)
+        defect = mpmath.mpf(m) * (mpmath.log(hi_a) - mpmath.log(hi_b)) - (hi_a - hi_b)
+        assert abs(defect) <= 1e-13 * abs(hi_a - hi_b)
+
+
 def test_log_mean_rejects_nonpositive():
     with pytest.raises(NonPositiveInputError):
         log_mean(0.0, 1.0)
@@ -386,6 +410,32 @@ def test_entropic_check_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def path_chain(dim, seed):
+    """A reversible birth-death chain on ``dim`` states and its structure."""
+    rng = np.random.default_rng(seed)
+    pi = rng.uniform(0.5, 2.0, dim)
+    pi /= pi.sum()
+    weights = np.diag(rng.uniform(0.1, 2.0, dim - 1) / dim, 1)
+    weights += weights.T
+    a = weights / pi
+    np.fill_diagonal(a, -a.sum(axis=0))
+    return validate_generator(a), EntropicStructure(pi, weights)
+
+
+def test_entropic_samples_stay_interior_on_large_chains():
+    """The coordinate floor is min(1e-3, 1/(2n)): a fixed 1e-3 made every
+    sample the uniform vector at n = 1000 and a negative one at n = 1200."""
+    gen, structure = path_chain(1200, seed=12)
+    report = verify_entropic_flow(gen, structure, samples=50)
+    assert report.max_residual <= 1e-9
+    assert np.min(report.worst_point) > 0.0
+    assert report.worst_point.sum() == pytest.approx(1.0, rel=1e-12)
+    gen, structure = path_chain(1000, seed=10)
+    points = [verify_entropic_flow(gen, structure, samples=50, seed=seed).worst_point
+              for seed in (0, 1)]
+    assert not np.array_equal(*points)
 
 
 def test_entropic_flow_rejects_nonreversible():

@@ -80,6 +80,21 @@ def test_write_text_returns_the_digest_of_the_bytes_on_disk(tmp_path):
     assert digest == hashlib.sha256(data).hexdigest()
 
 
+def test_write_text_keeps_a_file_mode_and_writes_through_a_symlink(tmp_path):
+    """A regular target is replaced by a whole temporary file that takes its
+    mode; a symlink is written through in place, so the link survives."""
+    target = tmp_path / "target.txt"
+    target.write_text("earlier\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_text(target, ["first\n"])
+    assert target.read_text() == "first\n" and target.stat().st_mode & 0o777 == 0o640
+    write_text(link, ["second\n"])
+    assert link.is_symlink() and target.read_text() == "second\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
 def test_system_file_is_written_without_a_whole_copy_in_memory(tmp_path, rng):
     """The document streams to disk a row at a time: the traced peak stays
     below half the file, where rendering it whole would hold several copies."""
