@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 command completed (analysis findings such as "not
-diagonalisable" are results, not errors), 2 parse error, 3 dimension
-error, 4 precondition failure, 5 numeric failure.  Reports are printed to
-stdout as deterministic JSON; set the GRADFLOW_LOG environment variable
-(debug/info/warning) for diagnostics on stderr.
+diagonalisable" are results, not errors), 2 parse or output error (an
+unwritable ``--out``), 3 dimension error, 4 precondition failure, 5 numeric
+failure.  Reports are printed to stdout as deterministic JSON; set the
+GRADFLOW_LOG environment variable (debug/info/warning) for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import ColumnSumError, GradFlowError, NegativeRateError
 from .serialize import (
     InputDimensionError,
     InputFormatError,
+    OutputError,
     build_report,
     load_generator_document,
     load_matrix_document,
@@ -120,14 +121,14 @@ def cmd_synthesize(args) -> dict:
 
     matrix, digest = load_matrix_document(args.input)
     diag = real_diagonalise(matrix, args.tol)
-    gs = synthesize_canonical(diag, args.tol)
+    gs = synthesize_canonical(diag)
     constants = geometry.convexity_constants(diag)
     residual = verify_flow_identity(matrix, gs).max_residual
     save_system_document(args.out, matrix, diag, gs)
     results = {
         "out": args.out,
         "flow_residual": residual,
-        "spd": True,  # else synthesize_canonical raised IllConditionedError
+        "spd": True,  # real_diagonalise refuses cond(t)**2 * tol >= 1, where is_spd fails
         **asdict(constants),
     }
     return build_report("synthesize", digest, {"tol": args.tol}, results)
@@ -362,7 +363,8 @@ def main(argv=None) -> int:
         if out_report and args.command not in ("synthesize", "simulate"):
             write_text(out_report, (text, "\n"))
     except InputFormatError as exc:
-        print(f"gradflow: parse error: {exc}", file=sys.stderr)
+        label = "output" if isinstance(exc, OutputError) else "parse"
+        print(f"gradflow: {label} error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InputDimensionError as exc:
         print(f"gradflow: dimension error: {exc}", file=sys.stderr)

@@ -27,10 +27,6 @@ class NotSPDError(GradFlowError):
     """Matrix is not symmetric positive definite."""
 
 
-class IllConditionedError(GradFlowError):
-    """Transform too ill-conditioned to certify the synthesized operator."""
-
-
 class FlowMismatchError(GradFlowError):
     """Supplied matrix does not generate the system's flow."""
 

@@ -65,6 +65,10 @@ class InputFormatError(ValueError):
     """Input file is malformed (bad JSON, missing fields, wrong types)."""
 
 
+class OutputError(InputFormatError):
+    """An output file cannot be written; exits 2 like an input error."""
+
+
 class InputDimensionError(ValueError):
     """Input parses but its dimensions are inconsistent."""
 
@@ -243,7 +247,7 @@ def write_text(path, pieces) -> str:
     """Write the ``str`` pieces to ``path`` as UTF-8, encoding and hashing
     one piece at a time, and return the sha256 hex digest of the bytes
     written; the file is whole or absent (:func:`_whole_file`), and an
-    unwritable path is an input error."""
+    unwritable path is an :class:`OutputError`."""
     digest = hashlib.sha256()
     try:
         with _whole_file(path) as fh:
@@ -252,7 +256,7 @@ def write_text(path, pieces) -> str:
                 digest.update(data)
                 fh.write(data)
     except OSError as exc:
-        raise InputFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return digest.hexdigest()
 
 

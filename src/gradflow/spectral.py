@@ -182,9 +182,11 @@ def _factorisation_residual(a: np.ndarray, e: int, vectors: np.ndarray,
 def _decompose(a: np.ndarray, tol: float):
     """The report, and the certified :class:`Diagonalisation` or ``None``.
 
-    The record's one SVD of ``transform = inv(eigenbasis)`` decides
-    ``Defective`` (``condition * tol >= 1``) and gives ``condition``; so do a
-    singular eigenbasis and a residual above ``tol * norm(a)`` or nan."""
+    The record's one SVD of ``transform = inv(eigenbasis)`` gives ``condition``
+    and decides ``Defective`` by the library's one conditioning rule,
+    ``condition**2 * tol >= 1``: the synthesized Onsager operator has condition
+    ``condition**2`` and is SPD at ``tol`` only below it.  So do a singular
+    eigenbasis and a residual above ``tol * norm(a)`` or nan."""
     a = as_square_matrix(a)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -218,7 +220,7 @@ def _decompose(a: np.ndarray, tol: float):
         except (np.linalg.LinAlgError, ValueError):  # a zero, singular or non-finite basis
             return defective, None
     condition = diag.transform_norm * diag.inverse_norm
-    if condition * tol >= 1.0:
+    if condition * condition * tol >= 1.0:
         return defective, None
     return SpectralReport(values.astype(complex), True, FailureKind.NONE, condition), diag
 
@@ -244,8 +246,9 @@ def real_diagonalise(a, tol: float = DEFAULT_TOL) -> Diagonalisation:
     ------
     NotDiagonalisableError
         If some eigenvalue has imaginary part above ``tol``-scale
-        (ComplexSpectrum) or the eigenvector basis is numerically singular
-        (Defective).  The exception carries the :class:`SpectralReport`.
+        (ComplexSpectrum), or the eigenvector basis has condition at least
+        ``tol**-0.5``, where the synthesized Onsager operator stops being SPD
+        at ``tol`` (Defective).  The exception carries the report.
     numpy.linalg.LinAlgError
         If LAPACK fails or an eigenvalue exceeds the double range.
     """

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     AsymmetryDefectError,
     FlowMismatchError,
-    IllConditionedError,
     NotCriticalError,
     NotSPDError,
 )
@@ -136,21 +135,16 @@ class FlowResidualReport:
     worst_point: np.ndarray | None = None
 
 
-def synthesize_canonical(diag: Diagonalisation, tol: float = DEFAULT_TOL) -> CanonicalGradientSystem:
+def synthesize_canonical(diag: Diagonalisation) -> CanonicalGradientSystem:
     """Build the canonical gradient system of a real-diagonalisable flow.
 
     Returns the system with ``onsager = inv(t) inv(t).T``,
     ``hessian = -t.T diag(w) t`` and equilibrium 0, which satisfies
     ``a + onsager @ hessian = 0`` for the matrix that produced ``diag``.
-    Raises :class:`IllConditionedError` when the Onsager operator, with
-    eigenvalues ``1 / sigma_i(t)^2``, fails ``spectral.is_spd`` at ``tol``,
-    that is when ``cond(t)^2 * tol >= 1`` (read off the record's norms).
+    The Onsager operator has eigenvalues ``1 / sigma_i(t)**2``; for a
+    ``diag`` from :func:`~gradflow.spectral.real_diagonalise` at ``tol`` it
+    is SPD at ``tol``, since that function refuses ``cond(t)**2 * tol >= 1``.
     """
-    condition = diag.transform_norm * diag.inverse_norm
-    if condition * condition * tol >= 1.0:
-        raise IllConditionedError(
-            "transform too ill-conditioned: synthesized Onsager operator "
-            "is not numerically SPD")
     inv_t = diag.eigenvectors
     onsager = inv_t @ inv_t.T
     onsager = onsager / 2.0 + onsager.T / 2.0

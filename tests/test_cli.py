@@ -18,9 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 from gradflow import cli
 from gradflow.cli import main
 from gradflow.serialize import REPORT_SCHEMA, load_system_document
-from gradflow import nonreversible_three_state, reversible_three_state
+from gradflow import Diagonalisation, nonreversible_three_state, reversible_three_state
 
-from conftest import make_diagonalisation
+from conftest import make_diagonalisation, make_transform
 
 THREE_STATE_DOC = {"dim": 3, "rows": [[-2, 0, 2], [1, -3, 2], [1, 3, -4]]}
 ROTATION_DOC = {"dim": 2, "rows": [[0, -1], [1, 0]]}
@@ -106,11 +106,14 @@ def test_synthesize_symmetric_matrix_gives_identity_onsager(workdir, capsys):
 
 
 def test_synthesize_jordan_block_exits_4(workdir, capsys):
+    """The nilpotent block, and one at -1 that rounding splits into two close
+    real eigenvalues, with an eigenbasis of condition about 2.4e8."""
     tmp_path, write = workdir
-    code, report, err = run(capsys, "synthesize", write("j.json", JORDAN_DOC),
-                            "--out", str(tmp_path / "x.json"))
-    assert code == 4 and report is None
-    assert "Defective" in err
+    for doc in (JORDAN_DOC, {"dim": 2, "rows": [[-13, 9], [-16, 11]]}):
+        code, report, err = run(capsys, "synthesize", write("j.json", doc),
+                                "--out", str(tmp_path / "x.json"))
+        assert code == 4 and report is None
+        assert "Defective" in err
 
 
 def test_verify_command_passes_and_validates_schema(workdir, capsys):
@@ -511,16 +514,69 @@ def test_large_norm_transform_exits_5_without_traceback(workdir, capsys, argv):
     assert not (tmp_path / "t.csv").exists()
 
 
-def test_ill_conditioned_transform_exits_5_without_out_file(workdir, capsys, rng):
+def test_ill_conditioned_transform_is_defective_and_exits_4_without_out_file(
+        workdir, capsys, rng):
+    """At cond(T) = 1e6 the synthesized Onsager operator would not be SPD at
+    tol, so ``analyze`` reads Defective and ``synthesize`` writes nothing."""
     tmp_path, write = workdir
     planted = make_diagonalisation(rng, 6, cond=1e6)
     matrix = write("a.json", {"dim": 6, "rows": planted.reconstruct().tolist()})
+    code, report, _ = run(capsys, "analyze", matrix)
+    assert code == 0
+    assert report["results"]["real_diagonalisable"] is False
+    assert report["results"]["failure_kind"] == "Defective"
+    assert report["results"]["condition"] is None
     system = tmp_path / "system.json"
     code, report, err = run(capsys, "synthesize", matrix, "--out", str(system))
-    assert code == 5 and report is None
-    assert "transform too ill-conditioned" in err and "Traceback" not in err
+    assert code == 4 and report is None
+    assert "precondition failed" in err and "Traceback" not in err
     assert not system.exists()
     assert not (tmp_path / "system.json.cache").exists()
+
+
+@pytest.mark.parametrize("dim", [6, 20])
+@pytest.mark.parametrize("sup", [-0.5, 1.0])
+def test_analyze_accepts_exactly_what_synthesize_certifies(tmp_path, capsys, dim, sup):
+    """One conditioning rule for every command, at the default tol.
+
+    Over planted ``inv(T) diag(w) T`` with cond(T) from 1 to 5e8: when
+    ``analyze`` says real diagonalisable, ``synthesize`` exits 0, ``verify``
+    passes and ``convexity`` finds no violation beyond rounding; otherwise
+    ``synthesize`` exits 4 and leaves no ``--out`` file and no sidecar.
+    Both verdicts occur."""
+    eigenvalues = np.linspace(sup - 4.5, sup, dim)
+    verdicts = set()
+    for cond in (1.0, 1e2, 1e4, 3e4, 1e5, 1e6, 1e7, 1e8, 5e8):
+        case = tmp_path / f"cond{cond:g}"
+        case.mkdir()
+        transform = make_transform(np.random.default_rng(dim), dim, cond)
+        rows = Diagonalisation(transform, eigenvalues).reconstruct().tolist()
+        matrix = case / "a.json"
+        matrix.write_text(json.dumps({"dim": dim, "rows": rows}))
+        system = str(case / "system.json")
+        _, report, _ = run(capsys, "analyze", str(matrix))
+        accepted = report["results"]["real_diagonalisable"]
+        verdicts.add(accepted)
+        code, _, err = run(capsys, "synthesize", str(matrix), "--out", system)
+        if not accepted:
+            assert code == 4, (cond, err)
+            assert [p.name for p in case.iterdir()] == ["a.json"], cond
+            continue
+        assert code == 0, (cond, err)
+        _, report, _ = run(capsys, "verify", system)
+        assert report["results"]["passed"] is True, cond
+        _, report, _ = run(capsys, "convexity", system, "--samples", "200")
+        results = report["results"]
+        _, diag, _, _ = load_system_document(system)
+        # |dx| <= 2 bounds the compared quadratic terms by `quad`; convexity
+        # takes times up to 10 / max|w|, so a gap grows by at most exp(10)
+        quad = 4.0 * diag.transform_norm ** 2 * max(
+            np.max(np.abs(eigenvalues)), abs(results["geodesic_lambda"]))
+        assert results["monotonicity_violation"] <= 1e-12 * quad, cond
+        assert results["geodesic_violation"] <= 1e-12 * quad, cond
+        assert (results["contraction_violation"]
+                <= 1e-12 * 2.0 * np.exp(10.0) * diag.transform_norm), cond
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("argv", [
@@ -545,7 +601,8 @@ def test_undecodable_input_and_unwritable_out_exit_2(workdir, capsys, argv):
                      missing=tmp_path / "missing") for a in argv]
     code, report, err = run(capsys, *argv)
     assert code == 2 and report is None
-    assert "gradflow: parse error" in err and "Traceback" not in err
+    label = "output error" if "--out" in argv else "parse error"
+    assert f"gradflow: {label}" in err and "Traceback" not in err
     # the only sidecar is the one beside the system file written above
     assert list(tmp_path.rglob("*.cache")) == [tmp_path / "system.json.cache"]
 

@@ -67,6 +67,17 @@ def test_jordan_block_is_defective():
         assert info.value.report.failure_kind is FailureKind.DEFECTIVE
 
 
+def test_rounded_jordan_block_is_defective():
+    """``[[-13, 9], [-16, 11]]`` is one Jordan block at -1 (trace -2,
+    determinant 1, ``A + I != 0``).  Rounding splits it into two real
+    eigenvalues near -1 whose eigenbasis has condition about 2.4e8: below
+    ``1 / tol``, but past ``tol**-0.5``, where the synthesized Onsager
+    operator stops being SPD."""
+    report = inspect_spectrum(np.array([[-13.0, 9.0], [-16.0, 11.0]]))
+    assert report.failure_kind is FailureKind.DEFECTIVE
+    assert not report.real_diagonalisable and report.condition is None
+
+
 def test_inspect_spectrum_success_report():
     report = inspect_spectrum(THREE_STATE)
     assert report.real_diagonalisable

@@ -23,7 +23,7 @@ from gradflow.errors import (
     NotSPDError,
 )
 
-from conftest import make_diagonalisation
+from conftest import make_diagonalisation, make_transform
 
 
 def test_identity_transform_synthesis():
@@ -105,6 +105,22 @@ def test_recover_roundtrips_random_systems(rng):
                            np.sort(planted.eigenvalues), atol=1e-7)
         assert (np.linalg.norm(recovered.reconstruct() - matrix)
                 <= 1e-8 * np.linalg.norm(matrix))
+
+
+@pytest.mark.parametrize("dim", [6, 20])
+@pytest.mark.parametrize("sup", [-0.5, 1.0])
+def test_library_round_trip_up_to_cond_1e4(dim, sup):
+    """``recover(synthesize(real_diagonalise(A)), A)`` succeeds for cond(T) up
+    to 1e4, a factor 3 below the conditioning limit ``tol**-0.5``."""
+    eigenvalues = np.linspace(sup - 4.5, sup, dim)
+    for cond in (1.0, 1e2, 1e3, 1e4):
+        transform = make_transform(np.random.default_rng(dim), dim, cond)
+        matrix = Diagonalisation(transform, eigenvalues).reconstruct()
+        recovered = recover_diagonalisation(
+            synthesize_canonical(real_diagonalise(matrix)), matrix)
+        np.testing.assert_allclose(np.sort(recovered.eigenvalues), eigenvalues,
+                                   rtol=0.0, atol=1e-8)
+        assert recovered.residual <= 1e-8 * np.linalg.norm(matrix), cond
 
 
 def test_recover_rejects_mismatched_matrix():
