@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 command completed (analysis findings such as "not
-diagonalisable" are results, not errors), 2 parse or output error (an
-unwritable ``--out``), 3 dimension error, 4 precondition failure, 5 numeric
-failure.  Reports are printed to stdout as deterministic JSON; set the
+Exit code 0: the command completed (findings such as "not diagonalisable"
+are results, not errors).  A failure exits with the code and label of its
+class in :mod:`gradflow.errors`; numpy's linear-algebra and floating-point
+errors and ``MemoryError`` count as numeric failures (5).  Reports are
+printed to stdout as deterministic JSON; set the
 GRADFLOW_LOG environment variable (debug/info/warning) for diagnostics on stderr.
 """
 
@@ -18,11 +19,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ColumnSumError, GradFlowError, NegativeRateError
+from .errors import (ColumnSumError, GradFlowError, InputDimensionError,
+                     InputFormatError, NegativeRateError)
 from .serialize import (
-    InputDimensionError,
-    InputFormatError,
-    OutputError,
     build_report,
     load_generator_document,
     load_matrix_document,
@@ -34,18 +33,9 @@ from .serialize import (
 )
 from .spectral import DEFAULT_TOL, inspect_spectrum, real_diagonalise
 
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_DIMENSION = 3
-EXIT_PRECONDITION = 4
-EXIT_NUMERIC = 5
-
 # Largest --samples, --nodes or --t-end / --step: each count sizes an array,
 # so a larger one is refused (exit 2) before anything is allocated.
 MAX_COUNT = 2 ** 24
-
-_FAILURE_LABELS = {EXIT_PRECONDITION: "precondition failed",
-                   EXIT_NUMERIC: "numeric failure"}
 
 
 def _complex_list(values) -> list[dict]:
@@ -152,10 +142,8 @@ def cmd_convexity(args) -> dict:
         gs, constants.flat_lambda, samples=args.samples, seed=args.seed)
     geo = geometry.check_geodesic_convexity(
         gs, diag, constants.geodesic_lambda, samples=args.samples, seed=args.seed)
-    unit = float(np.max(np.abs(diag.eigenvalues))) or 1.0  # so A's scale drops out
     contraction = geometry.check_contraction(
-        diag, constants.geodesic_lambda, pairs=args.samples,
-        times=(0.1 / unit, 1.0 / unit, 10.0 / unit), seed=args.seed)
+        diag, constants.geodesic_lambda, pairs=args.samples, seed=args.seed)
     results = {
         **asdict(constants),
         "monotonicity_violation": mono,
@@ -362,22 +350,16 @@ def main(argv=None) -> int:
         out_report = getattr(args, "out", None)
         if out_report and args.command not in ("synthesize", "simulate"):
             write_text(out_report, (text, "\n"))
-    except InputFormatError as exc:
-        label = "output" if isinstance(exc, OutputError) else "parse"
-        print(f"gradflow: {label} error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InputDimensionError as exc:
-        print(f"gradflow: dimension error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
     except GradFlowError as exc:
-        print(f"gradflow: {_FAILURE_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
+        print(f"gradflow: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
-        print(f"gradflow: numeric failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_NUMERIC
+        detail = str(exc) or type(exc).__name__
+        print(f"gradflow: {GradFlowError.label}: {detail}", file=sys.stderr)
+        return GradFlowError.exit_code
 
     print(text)
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,20 +1,46 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library: the one exit-code table.
+
+Each class carries the ``exit_code`` and ``label`` with which the command
+line reports it (``gradflow: <label>: <message>``).  The three input
+errors are also ``ValueError`` subclasses."""
 
 
 class GradFlowError(Exception):
-    """Base class for all library-specific failures.
-
-    ``exit_code`` is the command-line exit status the failure maps to: 5
-    (numeric failure) unless a subclass declares a precondition failure (4).
-    """
+    """Base class for all library-specific failures; a numeric failure by default."""
 
     exit_code = 5
+    label = "numeric failure"
 
 
-class NotDiagonalisableError(GradFlowError):
-    """Matrix is not real diagonalisable; carries the diagnostic report."""
+class PreconditionError(GradFlowError):
+    """An input fails a precondition of the requested construction."""
 
     exit_code = 4
+    label = "precondition failed"
+
+
+class InputFormatError(GradFlowError, ValueError):
+    """Input file is malformed (bad JSON, missing fields, wrong types)."""
+
+    exit_code = 2
+    label = "parse error"
+
+
+class OutputError(InputFormatError):
+    """An output file cannot be written; exits 2 like an input error."""
+
+    label = "output error"
+
+
+class InputDimensionError(GradFlowError, ValueError):
+    """Input parses but its dimensions are inconsistent."""
+
+    exit_code = 3
+    label = "dimension error"
+
+
+class NotDiagonalisableError(PreconditionError):
+    """Matrix is not real diagonalisable; carries the diagnostic report."""
 
     def __init__(self, report):
         self.report = report
@@ -27,20 +53,16 @@ class NotSPDError(GradFlowError):
     """Matrix is not symmetric positive definite."""
 
 
-class FlowMismatchError(GradFlowError):
+class FlowMismatchError(PreconditionError):
     """Supplied matrix does not generate the system's flow."""
-
-    exit_code = 4
 
 
 class AsymmetryDefectError(GradFlowError):
     """Similarity-transformed matrix failed its symmetry certificate."""
 
 
-class NotCriticalError(GradFlowError):
+class NotCriticalError(PreconditionError):
     """Claimed equilibrium is not an equilibrium of the flow."""
-
-    exit_code = 4
 
 
 class ConvexityConstantsError(GradFlowError):
@@ -59,22 +81,16 @@ class SingularStepError(GradFlowError):
     """Implicit step matrix is not positive definite (step too large)."""
 
 
-class NegativeRateError(GradFlowError):
+class NegativeRateError(PreconditionError):
     """Generator has a negative off-diagonal jump rate."""
 
-    exit_code = 4
 
-
-class ColumnSumError(GradFlowError):
+class ColumnSumError(PreconditionError):
     """Generator columns do not sum to zero."""
 
-    exit_code = 4
 
-
-class DegenerateKernelError(GradFlowError):
+class DegenerateKernelError(PreconditionError):
     """Generator kernel is not one-dimensional (reducible chain)."""
-
-    exit_code = 4
 
 
 class NonPositiveKernelError(GradFlowError):
@@ -89,7 +105,5 @@ class NonPositiveStateError(GradFlowError):
     """State vector must be strictly positive."""
 
 
-class NotReversibleError(GradFlowError):
+class NotReversibleError(PreconditionError):
     """Chain fails detailed balance."""
-
-    exit_code = 4

@@ -140,15 +140,19 @@ def contraction_defect(gaps, d0, geodesic_lambda: float, times) -> float:
 
 
 def check_contraction(diag: Diagonalisation, geodesic_lambda: float,
-                      pairs: int = 100, times=(0.1, 1.0, 10.0), seed: int = 0) -> float:
+                      pairs: int = 100, times=None, seed: int = 0) -> float:
     """Worst positive defect of ``d(x1(t), x2(t)) <= exp(-lambda t) d(x1, x2)``.
 
-    The exact flow moves ``z = T (x2 - x1)`` to ``exp(t w) * z``, so the
-    :func:`contraction_defect` of ``|exp(t w) * z|`` against ``|z|`` is
-    maximised over pairs and times.  Raises
-    :class:`~gradflow.errors.FlowOverflowError` when some ``t * w_i``
+    ``times`` defaults to ``0.1, 1, 10`` in units of ``1/max|w|`` (unit time
+    when ``w = 0``), so the scale of ``A`` drops out.  The exact flow moves
+    ``z = T (x2 - x1)`` to ``exp(t w) * z``, so the :func:`contraction_defect`
+    of ``|exp(t w) * z|`` against ``|z|`` is maximised over pairs and times.
+    Raises :class:`~gradflow.errors.FlowOverflowError` when some ``t * w_i``
     exceeds the exp range.
     """
+    if times is None:
+        unit = float(np.max(np.abs(diag.eigenvalues))) or 1.0
+        times = (0.1 / unit, 1.0 / unit, 10.0 / unit)
     rng = np.random.default_rng(seed)
     z = _pair_differences(rng, pairs, diag.dim) @ diag.transform.T
     d0 = np.linalg.norm(z, axis=1)

@@ -38,6 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InputDimensionError, InputFormatError, OutputError, PreconditionError
+
 SCHEMA_VERSION = "1"
 
 REPORT_SCHEMA = {
@@ -59,18 +61,6 @@ REPORT_SCHEMA = {
     },
     "additionalProperties": False,
 }
-
-
-class InputFormatError(ValueError):
-    """Input file is malformed (bad JSON, missing fields, wrong types)."""
-
-
-class OutputError(InputFormatError):
-    """An output file cannot be written; exits 2 like an input error."""
-
-
-class InputDimensionError(ValueError):
-    """Input parses but its dimensions are inconsistent."""
 
 
 _INDENT = "  "
@@ -155,7 +145,9 @@ def _parse_json(data: bytes, path):
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise InputFormatError(f"{path}: invalid JSON (nesting too deep)") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the digit limit
         raise InputFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -365,7 +357,9 @@ def load_system_document(path):
     """Read a system file: ``(matrix, diagonalisation, system, sha256 digest)``.
 
     The arrays come from the sidecar when it carries the digest of the
-    bytes read, else from the JSON; the records are validated either way."""
+    bytes read, else from the JSON; the records are validated either way.
+    Their sizes already agree, so a record that fails its own checks (a
+    hessian that is not symmetric, say) is a :class:`PreconditionError`."""
     from .spectral import Diagonalisation
     from .synthesis import CanonicalGradientSystem
 
@@ -380,7 +374,7 @@ def load_system_document(path):
         diag = Diagonalisation(transform, eigenvalues, residual)
         gs = CanonicalGradientSystem(onsager, hessian, equilibrium)
     except ValueError as exc:
-        raise InputDimensionError(f"{path}: inconsistent system ({exc})") from exc
+        raise PreconditionError(f"{path}: not a gradient system ({exc})") from exc
     return matrix, diag, gs, digest
 
 

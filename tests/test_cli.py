@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gradflow import cli
+from gradflow import cli, errors
 from gradflow.cli import main
 from gradflow.serialize import REPORT_SCHEMA, load_system_document
 from gradflow import Diagonalisation, nonreversible_three_state, reversible_three_state
@@ -482,6 +483,34 @@ def test_memory_error_exits_5(workdir, capsys, monkeypatch):
     code, report, err = run(capsys, "analyze", write("a.json", THREE_STATE_DOC))
     assert code == 5 and report is None
     assert "gradflow: numeric failure: MemoryError" in err
+
+
+def _documented_exit_codes() -> dict:
+    """``{code: text}`` of the README's exit-code list, one item per code."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    items = re.findall(r"^- `(\d)` (.*?)(?=^- `|^$)", readme, flags=re.M | re.S)
+    return {int(code): " ".join(text.split()) for code, text in items}
+
+
+@pytest.mark.parametrize("failure", sorted(
+    (cls for cls in vars(errors).values()
+     if isinstance(cls, type) and issubclass(cls, errors.GradFlowError)),
+    key=lambda cls: cls.__name__) + [np.linalg.LinAlgError, MemoryError],
+    ids=lambda cls: cls.__name__)
+def test_every_failure_exits_with_a_documented_code_and_label(
+        workdir, capsys, monkeypatch, failure):
+    code, label = getattr(failure, "exit_code", 5), getattr(failure, "label", "numeric failure")
+    assert label in _documented_exit_codes()[code]
+
+    def fail(args):
+        exc = failure.__new__(failure)  # skips a constructor's own arguments
+        exc.args = ("detail",)
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_analyze", fail)
+    _, write = workdir
+    assert run(capsys, "analyze", write("a.json", THREE_STATE_DOC)) == (
+        code, None, f"gradflow: {label}: detail\n")
 
 
 # T = 1e160 I diagonalises diag(-1, 0), but |T|^2 is beyond the double range.

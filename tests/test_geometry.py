@@ -208,6 +208,14 @@ def test_contraction_refuses_exponent_beyond_double_range():
         check_contraction(diag, 0.0, pairs=10, times=(1.0, 10.0), seed=13)
 
 
+@pytest.mark.parametrize("k", [-8, 0, 8])
+def test_default_contraction_times_scale_with_the_spectrum(k):
+    # fixed times (0.1, 1, 10) would probe exp(800) at k = 0
+    diag = real_diagonalise(2.0 ** k * np.array([[-1.0, 0.0], [0.0, 80.0]]))
+    lam = convexity_constants(diag).geodesic_lambda
+    assert check_contraction(diag, lam) == 0.0
+
+
 def test_contraction_tight_for_diagonal_flow():
     # identity transform: modulus equals the slowest decay rate exactly
     diag = Diagonalisation(np.eye(2), np.array([-1.0, -0.3]))

@@ -270,11 +270,19 @@ def test_unwritable_sidecar_does_not_fail_synthesize(tmp_path, capsys):
     ("matrix", {"dim": 3, "rows": [[-2, "0", 2], [1, -3, 2], [1, 3, -4]]}, 2),
     ("dim", 7, 3),
     ("matrix", {"dim": 2, "rows": [[-2, 0], [1, -3]]}, 3),
+    ("hessian", {"dim": 3, "rows": [[1, 2, 0], [0, 1, 0], [0, 0, 1]]}, 4),
+    ("onsager", {"dim": 3, "rows": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}, 4),
+    ("transform", {"dim": 3, "rows": [[1, 0, 0], [1, 0, 0], [0, 0, 1]]}, 4),
+    ("residual", -1, 4),
 ], ids=["residual-nan", "residual-inf", "residual-string", "residual-bool",
-        "equilibrium-strings", "eigenvalue-inf", "matrix-string", "dim-7", "matrix-2x2"])
+        "equilibrium-strings", "eigenvalue-inf", "matrix-string", "dim-7", "matrix-2x2",
+        "hessian-asymmetric", "onsager-indefinite", "transform-singular",
+        "residual-negative"])
 def test_malformed_system_fields_exit_2_or_3(tmp_path, capsys, key, value, code):
-    """A non-number or non-finite field is a parse error (2) and a dimension
-    that disagrees with the blocks a dimension error (3), on either route."""
+    """A non-number or non-finite field is a parse error (2), a dimension
+    that disagrees with the blocks a dimension error (3), and records whose
+    sizes agree but which fail their own checks a failed precondition (4):
+    the file is not a gradient system."""
     doc = json.loads(_synthesize(tmp_path, THREE_STATE_ROWS).read_text())
     doc[key] = value
     bad = tmp_path / "bad.json"
@@ -284,6 +292,41 @@ def test_malformed_system_fields_exit_2_or_3(tmp_path, capsys, key, value, code)
         assert main(command) == code
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_sidecar_records_that_fail_their_checks_exit_4(tmp_path, capsys):
+    """The sidecar route builds the records through the same checks as the
+    JSON: an asymmetric hessian under the JSON's own digest exits 4."""
+    system = _synthesize(tmp_path, THREE_STATE_ROWS)
+    data = _sidecar(system).read_bytes()
+    end = data.index(b"\n") + 1
+    body = np.frombuffer(data, dtype="<f8", offset=end).copy()
+    body[2 * 9 + 1] += 1.0  # hessian[0, 1]: matrix and onsager come first
+    _sidecar(system).write_bytes(data[:end] + body.tobytes())
+    capsys.readouterr()
+    for command in (["verify", str(system)], ["convexity", str(system), "--samples", "10"]):
+        assert main(command) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gradflow: precondition failed:" in captured.err
+        assert "hessian must be symmetric" in captured.err
+    _sidecar(system).unlink()
+    assert main(["verify", str(system)]) == 0
+
+
+@pytest.mark.parametrize("rows", ["[" * 100_000 + "]" * 100_000, "[[1" + "0" * 5000 + "]]"],
+                         ids=["nested-100000-deep", "int-of-5001-digits"])
+@pytest.mark.parametrize("argv", [["analyze"], ["markov", "stationary"], ["verify"]],
+                         ids=["analyze", "markov-stationary", "verify"])
+def test_json_that_python_cannot_decode_is_a_parse_error(tmp_path, capsys, argv, rows):
+    """Deep nesting exhausts the decoder's recursion limit, and a long integer
+    literal its digit limit; neither may escape as a traceback."""
+    source = tmp_path / "input.json"
+    source.write_text('{"convention": "transposed", "dim": 1, "rows": ' + rows + "}")
+    assert main([argv[0], str(source), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gradflow: parse error:" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("rows", ["[[1" + "0" * 400 + "]]", "[[true]]", '[["1"]]', "[[null]]"],
