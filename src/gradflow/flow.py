@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError, SingularStepError
-from .spectral import Diagonalisation, _unit_scale, as_square_matrix, as_vector, guarded_exp
-from .synthesis import CanonicalGradientSystem
+from .spectral import (Diagonalisation, _symmetric_part, _unit_scale, as_square_matrix,
+                       as_vector, guarded_exp)
+from .synthesis import CanonicalGradientSystem, _quadratic_form
 
 
 class Integrator(str, enum.Enum):
@@ -30,7 +31,8 @@ class Integrator(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution: ``states[k]`` is the state at ``times[k]``."""
+    """Sampled solution: ``states[k]`` is the state at ``times[k]``.  The one
+    finiteness check: a non-finite state raises :class:`NonFiniteStateError`."""
 
     times: np.ndarray
     states: np.ndarray
@@ -43,10 +45,12 @@ class Trajectory:
             raise ValueError("times and states shapes disagree")
         if times.size == 0 or times[0] != 0.0:
             raise ValueError("times must start at 0")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(states))):
-            raise ValueError("trajectory contains non-finite values")
+        if not (np.all(np.diff(times) > 0.0) and np.all(np.isfinite(times))):
+            raise ValueError("times must be finite and strictly increasing")
+        finite = np.all(np.isfinite(states), axis=1)
+        if not finite.all():
+            raise NonFiniteStateError(
+                f"state became non-finite at t = {times[np.argmin(finite)]:g}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "method", Integrator(self.method))
@@ -59,8 +63,8 @@ class Trajectory:
 def exact_flow(diag: Diagonalisation, x0, t: float) -> np.ndarray:
     """Propagate ``x0`` by time ``t`` with the spectral propagator.
 
-    Computes ``eigenvectors @ diag(exp(t w)) @ transform @ x0`` with the
-    record's cached ``eigenvectors = inv(transform)``.  ``x0``
+    Computes ``eigenvectors @ diag(exp(t w)) @ transform @ x0`` by
+    :func:`_modal_rows`, with the record's cached ``eigenvectors``.  ``x0``
     may be a single state or an array of states in rows.  Negative ``t``
     runs the flow backwards; the formula is its own inverse under t -> -t.
     Raises :class:`FlowOverflowError` when some ``t * w_i`` exceeds the
@@ -68,19 +72,15 @@ def exact_flow(diag: Diagonalisation, x0, t: float) -> np.ndarray:
     """
     growth = guarded_exp(t * diag.eigenvalues)
     x0 = np.asarray(x0, dtype=float)
-    single = x0.ndim == 1
-    points = np.atleast_2d(x0)
-    if points.shape[1] != diag.dim:
+    if x0.ndim not in (1, 2) or x0.shape[-1] != diag.dim:
         raise ValueError("state dimension does not match the diagonalisation")
-    modes = (points @ diag.transform.T) * growth
-    out = modes @ diag.eigenvectors.T
-    return out[0] if single else out
+    return _modal_rows(diag.eigenvectors, growth, diag.transform, x0)
 
 
 def _modal_rows(from_modes: np.ndarray, factors: np.ndarray,
                 to_modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Rows ``from_modes @ (factors[k] * (to_modes @ x0))``: one per time node."""
-    return (factors * (to_modes @ x0)) @ from_modes.T
+    """``from_modes @ (factors * (to_modes @ x))`` for ``x = x0`` or each row of ``x0``."""
+    return (factors * (x0 @ to_modes.T)) @ from_modes.T
 
 
 def exact_trajectory(diag: Diagonalisation, x0, t_end: float,
@@ -99,7 +99,8 @@ def exact_trajectory(diag: Diagonalisation, x0, t_end: float,
 def _exact_at(diag: Diagonalisation, x0: np.ndarray, times: np.ndarray) -> Trajectory:
     """The exact flow from the state ``x0`` sampled at ``times`` (from 0, increasing)."""
     growth = guarded_exp(np.outer(times, diag.eigenvalues))
-    states = _modal_rows(diag.eigenvectors, growth, diag.transform, x0)
+    with np.errstate(over="ignore", invalid="ignore"):  # Trajectory reports it
+        states = _modal_rows(diag.eigenvectors, growth, diag.transform, x0)
     states[0] = x0
     return Trajectory(times, states, Integrator.EXACT)
 
@@ -156,12 +157,12 @@ def rk4_flow(a, x0, t_end: float, step: float) -> Trajectory:
     final = full if last_step == step else propagator(last_step)
     states = np.empty((times.size, x0.size))
     states[0] = x = x0
-    for k in range(1, times.size):
-        x = (final if k == times.size - 1 else full) @ x
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteStateError(f"state became non-finite at t = {times[k]:g}")
-        states[k] = x
-    return Trajectory(times, states, Integrator.RK4)
+    with np.errstate(over="ignore", invalid="ignore"):  # Trajectory reports it
+        for k in range(1, times.size):
+            states[k] = x = (final if k == times.size - 1 else full) @ x
+            if not np.all(np.isfinite(x)):
+                break  # stop at the first bad node rather than step on nan
+    return Trajectory(times[:k + 1], states[:k + 1], Integrator.RK4)
 
 
 def minimizing_movement_flow(gs: CanonicalGradientSystem, diag: Diagonalisation,
@@ -188,21 +189,16 @@ def minimizing_movement_flow(gs: CanonicalGradientSystem, diag: Diagonalisation,
     x0 = as_vector(x0, gs.dim)
     times, _ = _step_times(t_end, tau)
     inv_t = diag.eigenvectors
-    m = inv_t.T @ gs.hessian @ inv_t
-    mu, v = np.linalg.eigh(m / 2.0 + m.T / 2.0)
+    mu, v = np.linalg.eigh(_symmetric_part(inv_t.T @ gs.hessian @ inv_t))
     growth = 1.0 + np.outer(np.diff(times), mu)  # I + h m in modes, a row per step
     if not np.min(growth) > 0.0:
         raise SingularStepError(
             f"step matrix not positive definite at tau = {tau:g}; "
             "reduce the step")
     eq = gs.equilibrium
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # Trajectory reports it
         factors = np.cumprod(np.vstack([np.ones(gs.dim), 1.0 / growth]), axis=0)
         states = eq + _modal_rows(inv_t @ v, factors, v.T @ diag.transform, x0 - eq)
-    finite = np.all(np.isfinite(states), axis=1)
-    if not finite.all():
-        raise NonFiniteStateError(
-            f"state became non-finite at t = {times[np.argmin(finite)]:g}")
     states[0] = x0
     return Trajectory(times, states, Integrator.MINIMIZING_MOVEMENT)
 
@@ -236,6 +232,5 @@ def dissipation_audit(gs: CanonicalGradientSystem, traj: Trajectory) -> Dissipat
     dts = traj.times[2:] - traj.times[:-2]
     rate = (energies[2:] - energies[:-2]) / dts
     grads = delta[1:-1] @ gs.hessian.T
-    dissipation = np.sum((grads @ gs.onsager) * grads, axis=1)
-    defect = float(np.max(np.abs(rate + dissipation)))
+    defect = float(np.max(np.abs(rate + _quadratic_form(gs.onsager, grads))))
     return DissipationReport(energies, monotone, defect)

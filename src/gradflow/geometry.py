@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvexityConstantsError
 from .spectral import DEFAULT_TOL, Diagonalisation, as_vector, guarded_exp
-from .synthesis import CanonicalGradientSystem
+from .synthesis import CanonicalGradientSystem, _quadratic_form
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ def check_strong_monotonicity(gs: CanonicalGradientSystem, flat_lambda: float,
     noise.
     """
     delta = _pair_differences(np.random.default_rng(seed), samples, gs.dim)
-    quad = np.sum((delta @ gs.hessian) * delta, axis=1)
-    violation = flat_lambda * np.sum(delta * delta, axis=1) - quad
+    violation = flat_lambda * np.sum(delta * delta, axis=1) - _quadratic_form(gs.hessian, delta)
     return float(max(0.0, np.max(violation)))
 
 
@@ -123,7 +122,7 @@ def check_geodesic_convexity(gs: CanonicalGradientSystem, diag: Diagonalisation,
     """
     delta = _pair_differences(np.random.default_rng(seed), samples, gs.dim)
     dist_sq = np.sum((delta @ diag.transform.T) ** 2, axis=1)
-    quad = np.sum((delta @ gs.hessian) * delta, axis=1)
+    quad = _quadratic_form(gs.hessian, delta)
     return max(0.0, float(np.max(geodesic_lambda * dist_sq - quad))) / 8.0
 
 

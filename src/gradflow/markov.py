@@ -22,7 +22,8 @@ from .errors import (
     NonPositiveStateError,
     NotReversibleError,
 )
-from .spectral import DEFAULT_TOL, _is_symmetric, _unit_scale, as_square_matrix, as_vector
+from .spectral import (DEFAULT_TOL, _is_symmetric, _symmetric_part, _unit_scale,
+                       as_square_matrix, as_vector)
 from .synthesis import (
     CanonicalGradientSystem,
     FlowResidualReport,
@@ -92,8 +93,7 @@ class EntropicStructure:
         if not is_reversible(gen, pi, tol):
             raise NotReversibleError(
                 "chain is not reversible; no entropic structure exists")
-        weights = gen.matrix * pi
-        return cls(pi, weights / 2.0 + weights.T / 2.0)
+        return cls(pi, _symmetric_part(gen.matrix * pi))
 
 
 def validate_generator(a, tol: float = DEFAULT_TOL) -> GeneratorMatrix:

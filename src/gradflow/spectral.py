@@ -165,6 +165,11 @@ def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(m, -e), e
 
 
+def _symmetric_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m.T) / 2``, halved before the sum so it cannot overflow."""
+    return m / 2.0 + m.T / 2.0
+
+
 def _is_symmetric(m: np.ndarray, tol: float) -> bool:
     """``|m - m.T| <= tol |m|`` in the Frobenius norm of the unit-scaled copy."""
     u, _ = _unit_scale(m)
@@ -199,7 +204,7 @@ def _decompose(a: np.ndarray, tol: float):
     if _is_symmetric(unit, tol):
         # Symmetric input: take the orthogonal eigenbasis so the transform
         # conditioning is 1 up to rounding.
-        spectrum, vectors = np.linalg.eigh(a / 2.0 + a.T / 2.0)
+        spectrum, vectors = np.linalg.eigh(_symmetric_part(a))
     else:
         spectrum, vectors = np.linalg.eig(a)
     if not np.all(np.isfinite(spectrum)):
@@ -264,7 +269,7 @@ def _spd_eigh(k, tol: float):
     k = as_square_matrix(k)
     if not _is_symmetric(k, tol):
         return None
-    values, vectors = np.linalg.eigh(k / 2.0 + k.T / 2.0)
+    values, vectors = np.linalg.eigh(_symmetric_part(k))
     if not values[0] > tol * np.max(np.abs(values)):
         return None
     return values, vectors
@@ -284,5 +289,4 @@ def symmetric_sqrt(k, tol: float = DEFAULT_TOL) -> np.ndarray:
     if factors is None:
         raise NotSPDError("matrix is not symmetric positive definite")
     values, vectors = factors
-    root = (vectors * np.sqrt(values)) @ vectors.T
-    return root / 2.0 + root.T / 2.0
+    return _symmetric_part((vectors * np.sqrt(values)) @ vectors.T)

@@ -30,12 +30,18 @@ from .spectral import (
     Diagonalisation,
     _factorisation_residual,
     _is_symmetric,
+    _symmetric_part,
     _unit_scale,
     as_square_matrix,
     as_vector,
     canonical_eigenbasis,
     symmetric_sqrt,
 )
+
+
+def _quadratic_form(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``<m x, x>`` for each row ``x`` of ``rows`` (``x @ m @ x``, row by row)."""
+    return np.sum((rows @ m) * rows, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class CanonicalGradientSystem:
         for name, m in (("onsager operator", k), ("hessian", b)):
             if not _is_symmetric(m, DEFAULT_TOL):
                 raise ValueError(f"{name} must be symmetric")
-        eigs = np.linalg.eigvalsh(k / 2.0 + k.T / 2.0)
+        eigs = np.linalg.eigvalsh(_symmetric_part(k))
         if eigs[0] < -DEFAULT_TOL * np.max(np.abs(eigs)):
             raise ValueError("onsager operator must be positive semi-definite")
         object.__setattr__(self, "onsager", k)
@@ -75,9 +81,8 @@ class CanonicalGradientSystem:
     def energy(self, x) -> float | np.ndarray:
         """Quadratic energy ``<hessian (x - eq), x - eq> / 2``; accepts batches of rows."""
         delta = np.asarray(x, dtype=float) - self.equilibrium
-        if delta.ndim == 1:
-            return float(delta @ self.hessian @ delta) / 2.0
-        return np.sum((delta @ self.hessian) * delta, axis=-1) / 2.0
+        energy = _quadratic_form(self.hessian, delta) / 2.0
+        return float(energy) if delta.ndim == 1 else energy
 
     def energy_grad(self, x) -> np.ndarray:
         """Gradient ``hessian @ (x - eq)``."""
@@ -146,10 +151,8 @@ def synthesize_canonical(diag: Diagonalisation) -> CanonicalGradientSystem:
     is SPD at ``tol``, since that function refuses ``cond(t)**2 * tol >= 1``.
     """
     inv_t = diag.eigenvectors
-    onsager = inv_t @ inv_t.T
-    onsager = onsager / 2.0 + onsager.T / 2.0
-    hessian = -(diag.transform.T * diag.eigenvalues) @ diag.transform
-    hessian = hessian / 2.0 + hessian.T / 2.0
+    onsager = _symmetric_part(inv_t @ inv_t.T)
+    hessian = _symmetric_part(-(diag.transform.T * diag.eigenvalues) @ diag.transform)
     return CanonicalGradientSystem(onsager, hessian, np.zeros(diag.dim))
 
 
@@ -180,7 +183,7 @@ def recover_diagonalisation(gs: CanonicalGradientSystem, a,
     if not _is_symmetric(transformed, tol):
         raise AsymmetryDefectError("square-root conjugation of the matrix is not symmetric")
 
-    eigenvalues, basis = np.linalg.eigh(transformed / 2.0 + transformed.T / 2.0)
+    eigenvalues, basis = np.linalg.eigh(_symmetric_part(transformed))
     # Columns of root @ basis are eigenvectors of a.
     eigenvalues, eigenvectors = canonical_eigenbasis(eigenvalues, root @ basis)
     transform = np.linalg.inv(eigenvectors)
@@ -239,10 +242,8 @@ def linearise_generalised(probe: GeneralisedSystemProbe, step: float | None = No
     else:
         curvature = _central_difference_jacobian(probe.energy_grad, eq, step, probe.dim)
 
-    mobility = mobility / 2.0 + mobility.T / 2.0
-    curvature = curvature / 2.0 + curvature.T / 2.0
     try:
-        return CanonicalGradientSystem(mobility, curvature, eq)
+        return CanonicalGradientSystem(_symmetric_part(mobility), _symmetric_part(curvature), eq)
     except ValueError as exc:  # the hessians are symmetric and dim x dim here
         raise NotSPDError("mobility has a negative direction; dissipation "
                           "potential is not convex") from exc

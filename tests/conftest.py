@@ -24,6 +24,14 @@ def make_diagonalisation(rng, dim, cond=10.0, low=-5.0, high=1.0, min_gap=0.0):
     return Diagonalisation(transform, eigenvalues)
 
 
+def blowup_diagonalisation():
+    """``A = Q diag(700, 699.99) Q.T`` (``Q`` the 45-degree rotation) and a start
+    ``x0 = Q (1e5, 1e5)`` whose state leaves the double range before t = 1."""
+    c = np.sqrt(0.5)
+    q = np.array([[c, -c], [c, c]])
+    return Diagonalisation(q.T, np.array([700.0, 699.99])), q @ np.array([1e5, 1e5])
+
+
 FACTORISATIONS = ("eig", "eigh", "eigvalsh", "svd", "inv", "solve", "cholesky")
 
 

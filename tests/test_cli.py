@@ -18,10 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from gradflow import cli, errors
 from gradflow.cli import main
-from gradflow.serialize import REPORT_SCHEMA, load_system_document
-from gradflow import Diagonalisation, nonreversible_three_state, reversible_three_state
+from gradflow.serialize import REPORT_SCHEMA, load_system_document, save_system_document
+from gradflow import (Diagonalisation, nonreversible_three_state, reversible_three_state,
+                      synthesize_canonical)
 
-from conftest import make_diagonalisation, make_transform
+from conftest import blowup_diagonalisation, make_diagonalisation, make_transform
 
 THREE_STATE_DOC = {"dim": 3, "rows": [[-2, 0, 2], [1, -3, 2], [1, 3, -4]]}
 ROTATION_DOC = {"dim": 2, "rows": [[0, -1], [1, 0]]}
@@ -249,6 +250,24 @@ def test_simulate_overflow_exits_5(workdir, capsys):
                        "--t-end", "1000", "--out", str(tmp_path / "t.csv"))
     assert code == 5
     assert "numeric failure" in err
+
+
+@pytest.mark.parametrize("method, node", [
+    (["--nodes", "3"], "1"),
+    (["--method", "rk4", "--step", "0.001"], "0.999"),
+    (["--method", "mm", "--step", "0.001"], "0.58"),
+])
+def test_simulate_blowup_exits_5_naming_the_node(tmp_path, capsys, method, node):
+    # the exact eigenvalues, so the exact method reaches exp(700), not the guard
+    diag, start = blowup_diagonalisation()
+    system = str(tmp_path / "system.json")
+    save_system_document(system, diag.reconstruct(), diag, synthesize_canonical(diag))
+    x0 = ",".join(repr(float(v)) for v in start)
+    out = tmp_path / "t.csv"
+    code, report, err = run(capsys, "simulate", system, f"--x0={x0}", "--t-end", "1",
+                            *method, "--out", str(out))
+    assert code == 5 and report is None and not out.exists()
+    assert err == f"gradflow: numeric failure: state became non-finite at t = {node}\n"
 
 
 def test_simulate_missing_step_for_rk4_exits_2(workdir, capsys):

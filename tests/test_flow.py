@@ -26,7 +26,7 @@ from gradflow.errors import (
     SingularStepError,
 )
 
-from conftest import make_diagonalisation, make_transform
+from conftest import blowup_diagonalisation, make_diagonalisation, make_transform
 
 
 def _three_state_setup():
@@ -134,6 +134,17 @@ def test_rk4_detects_blowup():
     with pytest.raises(NonFiniteStateError):
         with pytest.warns(RuntimeWarning):
             rk4_flow(np.array([[-1e9]]), [1.0], 20.0, 1.0)
+
+
+def test_every_integrator_raises_non_finite_state_at_its_first_bad_node():
+    diag, x0 = blowup_diagonalisation()
+    gs = synthesize_canonical(diag)
+    with pytest.raises(NonFiniteStateError, match=r"non-finite at t = 1$"):
+        exact_trajectory(diag, x0, 1.0, nodes=3)
+    with pytest.raises(NonFiniteStateError, match=r"non-finite at t = 0\.999$"):
+        rk4_flow(diag.reconstruct(), x0, 1.0, 1e-3)
+    with pytest.raises(NonFiniteStateError, match=r"non-finite at t = 0\.58$"):
+        minimizing_movement_flow(gs, diag, x0, 1.0, 1e-3)
 
 
 def test_rk4_rejects_bad_step():
@@ -367,3 +378,10 @@ def test_trajectory_validation():
         Trajectory(np.array([0.5, 1.0]), np.zeros((2, 2)), Integrator.EXACT)
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2)), Integrator.EXACT)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Trajectory(np.array([0.0, bad]), np.zeros((2, 1)), Integrator.EXACT)
+    # the one finiteness check of every integrator names the first bad node
+    with pytest.raises(NonFiniteStateError, match=r"non-finite at t = 0\.5$"):
+        Trajectory(np.array([0.0, 0.5, 1.0]), np.array([[1.0], [np.inf], [np.nan]]),
+                   Integrator.EXACT)
