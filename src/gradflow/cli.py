@@ -6,6 +6,8 @@ class in :mod:`gradflow.errors`; numpy's linear-algebra and floating-point
 errors and ``MemoryError`` count as numeric failures (5).  Reports are
 printed to stdout as deterministic JSON; set the
 GRADFLOW_LOG environment variable (debug/info/warning) for diagnostics on stderr.
+:func:`main` returns the exit code; :func:`run`, the process entry, ends
+the process as soon as the output is flushed.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import os
 import sys
 import warnings as _warnings
 from dataclasses import asdict
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import (ColumnSumError, GradFlowError, InputDimensionError,
-                     InputFormatError, NegativeRateError)
+                     InputFormatError, NegativeRateError, OutputError)
 from .serialize import (
     build_report,
     load_generator_document,
@@ -28,6 +31,7 @@ from .serialize import (
     load_system_document,
     render_json,
     save_system_document,
+    write_stdout,
     write_text,
     write_trajectory_csv,
 )
@@ -350,17 +354,44 @@ def main(argv=None) -> int:
         out_report = getattr(args, "out", None)
         if out_report and args.command not in ("synthesize", "simulate"):
             write_text(out_report, (text, "\n"))
+        write_stdout(text + "\n")  # last: every --out file is whole by now
     except GradFlowError as exc:
-        print(f"gradflow: {exc.label}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return _report_failure(exc)
     except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         detail = str(exc) or type(exc).__name__
         print(f"gradflow: {GradFlowError.label}: {detail}", file=sys.stderr)
         return GradFlowError.exit_code
-
-    print(text)
     return 0
 
 
+def _report_failure(exc: GradFlowError) -> int:
+    print(f"gradflow: {exc.label}: {exc}", file=sys.stderr)
+    return exc.exit_code
+
+
+def run() -> NoReturn:
+    """The process entry of the ``gradflow`` script and ``python -m gradflow.cli``.
+
+    Runs :func:`main`, flushes stdout and stderr, and ends the process with
+    ``os._exit``.  By then every output file is closed and no thread or child
+    process is running, so interpreter teardown (clearing every module,
+    unloading numpy, joining OpenBLAS's threads) would only delay the exit.
+    A failed flush keeps the code of a failed ``main``, which has reported
+    it, and turns a 0 into the output error.  An exception that escapes
+    ``main``, argparse's ``SystemExit`` among them, ends the process the
+    ordinary way.
+    """
+    code = main()
+    try:
+        write_stdout("")
+    except OutputError as exc:
+        code = code or _report_failure(exc)
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # stderr closed or broken: the code stands
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -64,23 +64,37 @@ def exact_flow(diag: Diagonalisation, x0, t: float) -> np.ndarray:
     """Propagate ``x0`` by time ``t`` with the spectral propagator.
 
     Computes ``eigenvectors @ diag(exp(t w)) @ transform @ x0`` by
-    :func:`_modal_rows`, with the record's cached ``eigenvectors``.  ``x0``
+    :func:`_exact_rows`, with the record's cached ``eigenvectors``.  ``x0``
     may be a single state or an array of states in rows.  Negative ``t``
     runs the flow backwards; the formula is its own inverse under t -> -t.
     Raises :class:`FlowOverflowError` when some ``t * w_i`` exceeds the
-    double-precision exponential range; rescale time in that case.
+    double-precision exponential range in a mode that some start excites;
+    rescale time in that case.
     """
-    growth = guarded_exp(t * diag.eigenvalues)
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != diag.dim:
         raise ValueError("state dimension does not match the diagonalisation")
-    return _modal_rows(diag.eigenvectors, growth, diag.transform, x0)
+    return _exact_rows(diag, x0, t * diag.eigenvalues)
 
 
 def _modal_rows(from_modes: np.ndarray, factors: np.ndarray,
-                to_modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """``from_modes @ (factors * (to_modes @ x))`` for ``x = x0`` or each row of ``x0``."""
-    return (factors * (x0 @ to_modes.T)) @ from_modes.T
+                coefficients: np.ndarray) -> np.ndarray:
+    """``from_modes @ (factors * c)`` for the modal coefficients ``c`` of
+    one start or of each row of ``coefficients`` (``x0 @ to_modes.T``)."""
+    return (factors * coefficients) @ from_modes.T
+
+
+def _exact_rows(diag: Diagonalisation, x0: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``eigenvectors @ (exp(exponents) * (transform @ x))`` for ``x = x0`` or
+    each row of ``x0``; ``exponents`` is ``t w`` or one such row per node.
+
+    A mode whose coefficient ``(transform @ x)_i`` is exactly 0 in every
+    start stays exactly 0 at every time, so its exponent is not taken: only
+    an excited mode past ``EXP_GUARD`` raises :class:`FlowOverflowError`."""
+    coefficients = x0 @ diag.transform.T
+    excited = np.any(np.atleast_2d(coefficients) != 0.0, axis=0)
+    growth = guarded_exp(np.where(excited, exponents, 0.0))
+    return _modal_rows(diag.eigenvectors, growth, coefficients)
 
 
 def exact_trajectory(diag: Diagonalisation, x0, t_end: float,
@@ -98,9 +112,8 @@ def exact_trajectory(diag: Diagonalisation, x0, t_end: float,
 
 def _exact_at(diag: Diagonalisation, x0: np.ndarray, times: np.ndarray) -> Trajectory:
     """The exact flow from the state ``x0`` sampled at ``times`` (from 0, increasing)."""
-    growth = guarded_exp(np.outer(times, diag.eigenvalues))
     with np.errstate(over="ignore", invalid="ignore"):  # Trajectory reports it
-        states = _modal_rows(diag.eigenvectors, growth, diag.transform, x0)
+        states = _exact_rows(diag, x0, np.outer(times, diag.eigenvalues))
     states[0] = x0
     return Trajectory(times, states, Integrator.EXACT)
 
@@ -198,7 +211,7 @@ def minimizing_movement_flow(gs: CanonicalGradientSystem, diag: Diagonalisation,
     eq = gs.equilibrium
     with np.errstate(over="ignore", invalid="ignore"):  # Trajectory reports it
         factors = np.cumprod(np.vstack([np.ones(gs.dim), 1.0 / growth]), axis=0)
-        states = eq + _modal_rows(inv_t @ v, factors, v.T @ diag.transform, x0 - eq)
+        states = eq + _modal_rows(inv_t @ v, factors, (x0 - eq) @ (v.T @ diag.transform).T)
     states[0] = x0
     return Trajectory(times, states, Integrator.MINIMIZING_MOVEMENT)
 

@@ -8,7 +8,8 @@ floating-point output is rendered with 17 significant digits so doubles
 round-trip exactly, and reports are emitted deterministically (stable key
 order, no locale dependence).  Every text file goes out through
 :func:`write_text`, which encodes, hashes and writes it a piece at a time
-to a temporary file that replaces the target only once it is whole.
+to a temporary file that replaces the target only once it is whole; the
+report on stdout goes out through :func:`write_stdout`, which flushes it.
 
 Beside a system file ``sys.json`` gradflow also writes a binary sidecar
 ``sys.json.cache``: one header line ``gradflow-system-cache <sha256> <d>``,
@@ -32,6 +33,7 @@ import hashlib
 import json
 import os
 import stat
+import sys
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
@@ -248,8 +250,25 @@ def write_text(path, pieces) -> str:
                 digest.update(data)
                 fh.write(data)
     except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _output_error(path, exc) from exc
     return digest.hexdigest()
+
+
+def write_stdout(text: str) -> None:
+    """Write ``text`` to stdout and flush it, so that it has left the process
+    on return; a closed pipe, a full device or a closed stdout is an
+    :class:`OutputError` naming ``<stdout>``."""
+    if sys.stdout is None:  # started with its stdout closed
+        raise OutputError("cannot write <stdout>: stdout is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _output_error("<stdout>", exc) from exc
+
+
+def _output_error(path, exc: OSError) -> OutputError:
+    return OutputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 _SIDECAR_MAGIC = b"gradflow-system-cache"

@@ -252,6 +252,28 @@ def test_simulate_overflow_exits_5(workdir, capsys):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("x0", ["0,1", "0,0"])
+def test_simulate_exact_runs_past_the_exp_range_of_a_mode_left_at_zero(workdir, capsys, x0):
+    """``t w = 800`` in the growing mode of ``diag(1, -1)``, which neither
+    start excites: exact finishes like rk4 instead of exiting 5."""
+    tmp_path, write = workdir
+    system = str(tmp_path / "system.json")
+    assert run(capsys, "synthesize", write("a.json", {"dim": 2, "rows": [[1, 0], [0, -1]]}),
+               "--out", system)[0] == 0
+    csv = tmp_path / "t.csv"
+    argv = ["simulate", system, f"--x0={x0}", "--t-end", "800", "--out", str(csv)]
+    code, report, err = run(capsys, *argv, "--method", "exact", "--nodes", "5")
+    assert (code, err) == (0, "")
+    assert report["results"]["final_state"] == [0.0, 0.0]
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 1], np.zeros(5))
+    assert np.array_equal(rows[:, 2], float(x0[-1]) * np.exp(-rows[:, 0]))
+    code, report, _ = run(capsys, *argv, "--method", "rk4", "--step", "1")
+    assert code == 0 and report["results"]["final_state"] == [0.0, 0.0]
+    code, _, err = run(capsys, *argv[:2], "--x0=1,0", *argv[3:])
+    assert code == 5 and "exceeds the exp range" in err
+
+
 @pytest.mark.parametrize("method, node", [
     (["--nodes", "3"], "1"),
     (["--method", "rk4", "--step", "0.001"], "0.999"),

@@ -63,6 +63,22 @@ def test_exact_flow_overflow_guard():
     assert exact_flow(decaying, [1.0], 800.0)[0] == 0.0
 
 
+@pytest.mark.parametrize("x0", [[0.0, 1.0], [0.0, 0.0]])
+def test_exact_flow_skips_the_exponent_of_a_mode_the_start_leaves_at_zero(x0):
+    """``t w = 800`` is past the exp range, but a start with no component in
+    that mode keeps it at exactly 0; only an excited mode is refused."""
+    diag = Diagonalisation(np.eye(2), np.array([1.0, -1.0]))
+    assert np.array_equal(exact_flow(diag, x0, 800.0), [0.0, 0.0])
+    assert np.array_equal(exact_flow(diag, [x0, [0.0, 2.0]], 800.0), np.zeros((2, 2)))
+    traj = exact_trajectory(diag, x0, 800.0, nodes=5)
+    assert np.array_equal(traj.states[:, 0], np.zeros(5))
+    assert np.array_equal(traj.states[:, 1], x0[1] * np.exp(-traj.times))
+    with pytest.raises(FlowOverflowError):
+        exact_flow(diag, [x0, [1e-300, 0.0]], 800.0)
+    with pytest.raises(FlowOverflowError):
+        exact_trajectory(diag, [1e-300, x0[1]], 800.0, nodes=5)
+
+
 def test_exact_flow_negative_time_inverts(rng):
     diag = make_diagonalisation(rng, 3, cond=5.0)
     x0 = rng.standard_normal(3)
