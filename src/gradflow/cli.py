@@ -23,7 +23,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import (ColumnSumError, GradFlowError, InputDimensionError,
-                     InputFormatError, NegativeRateError, OutputError)
+                     InputFormatError, NegativeRateError)
 from .serialize import (
     build_report,
     load_generator_document,
@@ -356,7 +356,8 @@ def main(argv=None) -> int:
             write_text(out_report, (text, "\n"))
         write_stdout(text + "\n")  # last: every --out file is whole by now
     except GradFlowError as exc:
-        return _report_failure(exc)
+        print(f"gradflow: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         detail = str(exc) or type(exc).__name__
         print(f"gradflow: {GradFlowError.label}: {detail}", file=sys.stderr)
@@ -364,28 +365,19 @@ def main(argv=None) -> int:
     return 0
 
 
-def _report_failure(exc: GradFlowError) -> int:
-    print(f"gradflow: {exc.label}: {exc}", file=sys.stderr)
-    return exc.exit_code
-
-
 def run() -> NoReturn:
     """The process entry of the ``gradflow`` script and ``python -m gradflow.cli``.
 
-    Runs :func:`main`, flushes stdout and stderr, and ends the process with
-    ``os._exit``.  By then every output file is closed and no thread or child
-    process is running, so interpreter teardown (clearing every module,
-    unloading numpy, joining OpenBLAS's threads) would only delay the exit.
-    A failed flush keeps the code of a failed ``main``, which has reported
-    it, and turns a 0 into the output error.  An exception that escapes
-    ``main``, argparse's ``SystemExit`` among them, ends the process the
-    ordinary way.
+    Runs :func:`main`, flushes stderr, and ends the process with ``os._exit``,
+    without the interpreter's teardown.  ``main`` has already written and
+    flushed the report, every output file is closed and no thread or child
+    process is running.  The interpreter's final flush of stdout is skipped
+    too, so a report that could not be written to a broken stdout ends the
+    process with ``main``'s exit code 2, not 120.
+    An exception that escapes ``main``, argparse's ``SystemExit`` among
+    them, ends the process the ordinary way.
     """
     code = main()
-    try:
-        write_stdout("")
-    except OutputError as exc:
-        code = code or _report_failure(exc)
     try:
         sys.stderr.flush()
     except (AttributeError, OSError):  # stderr closed or broken: the code stands
