@@ -23,7 +23,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import (ColumnSumError, GradFlowError, InputDimensionError,
-                     InputFormatError, NegativeRateError)
+                     InputFormatError, NegativeRateError, OutputError)
 from .serialize import (
     build_report,
     load_generator_document,
@@ -142,21 +142,16 @@ def cmd_convexity(args) -> dict:
 
     _, diag, gs, digest = load_system_document(args.input)
     constants = geometry.convexity_constants(diag)
-    mono = geometry.check_strong_monotonicity(
-        gs, constants.flat_lambda, samples=args.samples, seed=args.seed)
-    geo = geometry.check_geodesic_convexity(
-        gs, diag, constants.geodesic_lambda, samples=args.samples, seed=args.seed)
-    contraction = geometry.check_contraction(
-        diag, constants.geodesic_lambda, pairs=args.samples, seed=args.seed)
+    lam = constants.geodesic_lambda
     results = {
         **asdict(constants),
-        "monotonicity_violation": mono,
-        "geodesic_violation": geo,
-        "contraction_violation": contraction,
+        "monotonicity_violation": geometry.check_strong_monotonicity(
+            gs, constants.flat_lambda),
+        "geodesic_violation": geometry.check_geodesic_convexity(gs, diag, lam),
+        "contraction_violation": geometry.check_contraction(diag, lam),
         "spectrum_nonpositive": geometry.essential_range_check(diag, tol=args.tol),
     }
-    options = {"tol": args.tol, "samples": args.samples, "seed": args.seed}
-    return build_report("convexity", digest, options, results)
+    return build_report("convexity", digest, {"tol": args.tol}, results)
 
 
 def _simulate_one(args, matrix, diag, gs, x0):
@@ -271,14 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "synthesize the gradient system, and certify its geometry.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False):
+    def common(p, seed=None):
         p.add_argument("--tol", type=_bounded(float, 0.0, inclusive=False),
                        default=DEFAULT_TOL, help="relative tolerance (default 1e-9)")
-        if seed:
-            p.add_argument("--samples", type=_count, default=1000,
-                           help="number of sampled checks (default 1000)")
+        if seed:  # the help texts of --samples and --seed
+            p.add_argument("--samples", type=_count, default=1000, help=seed[0])
             p.add_argument("--seed", type=_bounded(int, 0, inclusive=True), default=0,
-                           help="sampling seed, echoed in the report (default 0)")
+                           help=seed[1])
 
     p = sub.add_parser("analyze", help="is the matrix real diagonalisable?")
     p.add_argument("input", help="matrix JSON file")
@@ -300,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("convexity",
-                       help="convexity moduli and sampled inequality certificates")
+                       help="convexity moduli and exact inequality certificates")
     p.add_argument("input", help="system JSON file")
-    common(p, seed=True)
+    common(p, seed=("ignored: the certificates are exact",) * 2)
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(handler=cmd_convexity)
 
@@ -325,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="generator JSON file (transposed convention)")
     p.add_argument("subcommand", choices=["validate", "stationary",
                                           "reversible", "entropic-verify"])
-    common(p, seed=True)
+    common(p, seed=("number of sampled checks (default 1000)",
+                    "sampling seed, echoed in the report (default 0)"))
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(handler=cmd_markov)
     return parser
@@ -356,13 +351,20 @@ def main(argv=None) -> int:
             write_text(out_report, (text, "\n"))
         write_stdout(text + "\n")  # last: every --out file is whole by now
     except GradFlowError as exc:
-        print(f"gradflow: {exc.label}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return _failure(type(exc), exc)
     except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
-        detail = str(exc) or type(exc).__name__
-        print(f"gradflow: {GradFlowError.label}: {detail}", file=sys.stderr)
-        return GradFlowError.exit_code
+        return _failure(GradFlowError, str(exc) or type(exc).__name__)
     return 0
+
+
+def _failure(kind: type[GradFlowError], detail) -> int:
+    """Write ``gradflow: <label>: <detail>`` to stderr and return the exit code
+    of ``kind``; a closed or broken stderr loses the line, not the code."""
+    try:
+        sys.stderr.write(f"gradflow: {kind.label}: {detail}\n")
+    except (AttributeError, OSError):
+        pass
+    return kind.exit_code
 
 
 def run() -> NoReturn:
@@ -373,11 +375,19 @@ def run() -> NoReturn:
     flushed the report, every output file is closed and no thread or child
     process is running.  The interpreter's final flush of stdout is skipped
     too, so a report that could not be written to a broken stdout ends the
-    process with ``main``'s exit code 2, not 120.
-    An exception that escapes ``main``, argparse's ``SystemExit`` among
-    them, ends the process the ordinary way.
+    process with ``main``'s exit code 2, not 120.  argparse's ``SystemExit``
+    (``--help``, a usage error) keeps its code once what argparse printed is
+    flushed through ``write_stdout`` (exit 2 if that fails).  Any other
+    exception that escapes ``main`` ends the process the ordinary way.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+        try:
+            write_stdout("")
+        except OutputError as err:
+            code = _failure(OutputError, err)
     try:
         sys.stderr.flush()
     except (AttributeError, OSError):  # stderr closed or broken: the code stands

@@ -6,12 +6,12 @@ and geodesics are straight lines.  This module computes that distance, the
 convexity moduli of the quadratic energy in the ambient norm and in the
 transport metric (each read off one case split on the sign of the largest
 eigenvalue), and certificates for the convexity, monotonicity and
-contraction inequalities over random pairs ``dx = x2 - x1``.  Straight
-geodesics and a quadratic energy make each a closed form in ``dx``: the
-geodesic defect is ``theta (1-theta)/2 (lambda |t dx|^2 - <B dx, dx>)`` at
-every ``theta``, and the flow moves ``t dx`` to ``exp(s w) * (t dx)`` at
-time ``s``.  :func:`contraction_defect` is the one form of the contraction
-bound, shared with the pair audit of ``simulate``.  All of it reads the
+contraction inequalities.  Straight geodesics and a quadratic energy make
+each defect a closed form in ``dx = x2 - x1``, so each certificate is its
+exact worst case over all pairs per unit size of ``dx``: one symmetric
+eigenvalue, or one scalar per time.  :func:`contraction_defect` is the one
+form of the contraction bound, shared with the pair audit of ``simulate``.
+All of it reads the
 :class:`~gradflow.spectral.Diagonalisation` record: ``transform``,
 ``eigenvalues`` and the two cached operator norms.
 """
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexityConstantsError
-from .spectral import DEFAULT_TOL, Diagonalisation, as_vector, guarded_exp
-from .synthesis import CanonicalGradientSystem, _quadratic_form
+from .spectral import DEFAULT_TOL, Diagonalisation, _symmetric_part, as_vector, guarded_exp
+from .synthesis import CanonicalGradientSystem
 
 
 @dataclass(frozen=True)
@@ -86,44 +86,32 @@ def convexity_constants(diag: Diagonalisation) -> ConvexityConstants:
                               flat_factor, geo_factor)
 
 
-def _pair_differences(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """``x2 - x1`` for ``count`` pairs drawn uniformly from the unit ball."""
-    points = []
-    for _ in range(2):
-        u = rng.standard_normal((count, dim))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        points.append(rng.uniform(size=(count, 1)) ** (1.0 / dim) * u)
-    return points[1] - points[0]
-
-
 def check_strong_monotonicity(gs: CanonicalGradientSystem, flat_lambda: float,
                               samples: int = 1000, seed: int = 0) -> float:
-    """Worst violation of ``<B dx, dx> >= flat_lambda |dx|^2`` over unit-ball pairs.
-
-    Returns ``max(0, ...)``; a correct modulus yields at most numerical
-    noise.
+    """Worst violation of ``<B dx, dx> >= flat_lambda |dx|^2`` per unit ``|dx|^2``,
+    ``max(0, flat_lambda - lambda_min(B))``; a correct modulus yields at
+    most numerical noise.  ``samples`` and ``seed`` are ignored.
     """
-    delta = _pair_differences(np.random.default_rng(seed), samples, gs.dim)
-    violation = flat_lambda * np.sum(delta * delta, axis=1) - _quadratic_form(gs.hessian, delta)
-    return float(max(0.0, np.max(violation)))
+    b_min = float(np.linalg.eigvalsh(_symmetric_part(gs.hessian))[0])
+    return max(0.0, flat_lambda - b_min)
 
 
 def check_geodesic_convexity(gs: CanonicalGradientSystem, diag: Diagonalisation,
                              geodesic_lambda: float, samples: int = 1000,
                              seed: int = 0) -> float:
-    """Worst positive defect of the geodesic convexity inequality.
+    """Worst positive defect of the geodesic convexity inequality per unit ``|dx|^2``.
 
     On the straight geodesic from ``x1`` to ``x1 + dx`` the defect of the
     quadratic energy at ``theta`` is exactly ``theta (1-theta)/2 (lambda
-    |T dx|^2 - <B dx, dx>)``, largest at ``theta = 1/2``; this returns its
-    maximum over pairs and every ``theta`` in [0, 1].  ``B = gs.hessian``
+    |T dx|^2 - <B dx, dx>)``, largest at ``theta = 1/2``, so its worst case
+    is ``max(0, lambda_max(lambda T^T T - B)) / 8``.  ``B = gs.hessian``
     and ``T = diag.transform`` are read separately, so a hessian that does
-    not match its transform shows as a defect.
+    not match its transform shows as a defect.  ``samples`` and ``seed``
+    are ignored.
     """
-    delta = _pair_differences(np.random.default_rng(seed), samples, gs.dim)
-    dist_sq = np.sum((delta @ diag.transform.T) ** 2, axis=1)
-    quad = _quadratic_form(gs.hessian, delta)
-    return max(0.0, float(np.max(geodesic_lambda * dist_sq - quad))) / 8.0
+    t = diag.transform
+    gap = _symmetric_part(geodesic_lambda * (t.T @ t) - gs.hessian)
+    return max(0.0, float(np.linalg.eigvalsh(gap)[-1])) / 8.0
 
 
 def contraction_defect(gaps, d0, geodesic_lambda: float, times) -> float:
@@ -140,26 +128,23 @@ def contraction_defect(gaps, d0, geodesic_lambda: float, times) -> float:
 
 def check_contraction(diag: Diagonalisation, geodesic_lambda: float,
                       pairs: int = 100, times=None, seed: int = 0) -> float:
-    """Worst positive defect of ``d(x1(t), x2(t)) <= exp(-lambda t) d(x1, x2)``.
+    """Worst positive defect of ``d(x1(t), x2(t)) <= exp(-lambda t) d(x1, x2)``
+    per unit starting distance.
 
     ``times`` defaults to ``0.1, 1, 10`` in units of ``1/max|w|`` (unit time
     when ``w = 0``), so the scale of ``A`` drops out.  The exact flow moves
-    ``z = T (x2 - x1)`` to ``exp(t w) * z``, so the :func:`contraction_defect`
-    of ``|exp(t w) * z|`` against ``|z|`` is maximised over pairs and times.
-    Raises :class:`~gradflow.errors.FlowOverflowError` when some ``t * w_i``
-    exceeds the exp range.
+    ``z = T (x2 - x1)`` to ``exp(t w) * z``, so the worst growth of ``|z|``
+    is ``max_i exp(t w_i)``, whose :func:`contraction_defect` against a unit
+    ``|z|`` is maximised over times.  Raises
+    :class:`~gradflow.errors.FlowOverflowError` when some ``t * w_i``
+    exceeds the exp range.  ``pairs`` and ``seed`` are ignored.
     """
     if times is None:
         unit = float(np.max(np.abs(diag.eigenvalues))) or 1.0
         times = (0.1 / unit, 1.0 / unit, 10.0 / unit)
-    rng = np.random.default_rng(seed)
-    z = _pair_differences(rng, pairs, diag.dim) @ diag.transform.T
-    d0 = np.linalg.norm(z, axis=1)
-    worst = 0.0
-    for t in times:
-        dt = np.linalg.norm(guarded_exp(t * diag.eigenvalues) * z, axis=1)
-        worst = max(worst, contraction_defect(dt, d0, geodesic_lambda, t))
-    return worst
+    times = np.asarray(times, dtype=float)
+    growth = guarded_exp(np.max(np.multiply.outer(times, diag.eigenvalues), axis=1))
+    return contraction_defect(growth, 1.0, geodesic_lambda, times)
 
 
 def essential_range_check(diag: Diagonalisation, spectrum_bound: float = 0.0,

@@ -132,15 +132,20 @@ def test_convexity_command_reports_certificates(workdir, capsys):
     tmp_path, write = workdir
     out = str(tmp_path / "system.json")
     run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", out)
-    code, report, _ = run(capsys, "convexity", out, "--samples", "200")
+    code, report, _ = run(capsys, "convexity", out, "--seed", "0")
     assert code == 0
     results = report["results"]
     assert results["monotonicity_violation"] == 0.0
     assert results["geodesic_violation"] <= 1e-9
     assert results["contraction_violation"] <= 1e-9
     assert results["spectrum_nonpositive"] is True
-    assert report["options"]["seed"] == 0
     jsonschema.validate(report, REPORT_SCHEMA)
+    # the certificates are exact: --samples and --seed change no byte
+    texts = []
+    for argv in (["--seed", "0"], ["--seed", "7", "--samples", "3"]):
+        assert main(["convexity", out, *argv]) == 0
+        texts.append(re.sub(r'\n *"generated_at": [^\n]*', "", capsys.readouterr().out))
+    assert texts[0] == texts[1]
 
 
 def test_convexity_tol_sets_the_spectrum_sign_test(workdir, capsys):
@@ -745,7 +750,7 @@ def test_write_cut_short_leaves_the_earlier_file_or_none(workdir, capsys, argv, 
     ("analyze", {"eig": 1, "svd": 1, "inv": 1}),
     ("synthesize", {"eig": 1, "svd": 1, "eigvalsh": 1, "inv": 2}),
     ("verify", {"svd": 1, "eigvalsh": 1}),
-    ("convexity", {"svd": 1, "eigvalsh": 1}),
+    ("convexity", {"svd": 1, "eigvalsh": 3}),
     ("simulate-pair", {"svd": 1, "eigvalsh": 1, "inv": 1}),
     ("simulate-rk4", {"svd": 1, "eigvalsh": 1}),
     ("simulate-mm", {"svd": 1, "eigvalsh": 1, "inv": 1, "eigh": 1}),
@@ -760,7 +765,9 @@ def test_factorisation_counts_per_command(workdir, capsys, linalg_counts,
     One SVD, of the transform, gives the defective test, the condition and
     the metric norms; it validates a loaded transform too.  ``inv`` of the
     eigenbasis and of the transform are each computed at most once, and
-    the only ``eigvalsh`` is the system's semi-definiteness check.  rk4
+    the one ``eigvalsh`` of every command is the system's semi-definiteness
+    check; ``convexity`` adds one for each exact certificate that is a
+    symmetric eigenproblem, monotonicity and geodesic convexity.  rk4
     adds nothing (its step advisory reads the Frobenius norm), mm one
     ``eigh`` of its modal operator, which gives every step in closed form
     and its definiteness test.  A chain's one SVD gives its stationary

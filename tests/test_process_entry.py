@@ -23,12 +23,12 @@ SRC = str(Path(cli.__file__).resolve().parents[1])
 THREE_STATE_DOC = {"dim": 3, "rows": [[-2, 0, 2], [1, -3, 2], [1, 3, -4]]}
 
 
-def _cli(*argv, cwd, stdout=subprocess.PIPE, env=(), **popen):
+def _cli(*argv, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=(), **popen):
     """Run ``python -m gradflow.cli argv`` in a fresh interpreter."""
     base = {k: v for k, v in os.environ.items()
             if k not in ("PYTHONUNBUFFERED", "GRADFLOW_LOG")}
     return subprocess.run([sys.executable, "-m", "gradflow.cli", *argv], cwd=cwd,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          stdout=stdout, stderr=stderr, text=True,
                           env={**base, "PYTHONPATH": SRC, **dict(env)}, check=False,
                           **popen)
 
@@ -164,3 +164,32 @@ def test_a_closed_stdout_exits_2_after_the_out_copy(tmp_path):
     assert child.returncode == 2
     assert child.stderr == "gradflow: output error: cannot write <stdout>: stdout is closed\n"
     assert json.loads((tmp_path / "r.json").read_text())["command"] == "analyze"
+
+
+@pytest.mark.parametrize("sink", ["closed pipe", "full device"])
+def test_help_that_cannot_be_written_exits_2(tmp_path, sink):
+    """argparse ends ``--help`` with ``SystemExit(0)`` while the help is
+    still in the buffer; the entry flushes it as it flushes a report, so the
+    failed write exits 2 with one line, not 120 from the interpreter's own
+    flush at shutdown."""
+    if sink == "closed pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout, reason = os.fdopen(write_end, "wb"), "Broken pipe"
+    elif Path("/dev/full").exists():
+        stdout, reason = open("/dev/full", "wb"), "No space left on device"
+    else:
+        pytest.skip("needs /dev/full")
+    with stdout:
+        child = _cli("--help", cwd=tmp_path, stdout=stdout)
+    assert child.returncode == 2
+    assert child.stderr == f"gradflow: output error: cannot write <stdout>: {reason}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_failure_line_to_a_full_stderr_keeps_the_failure_code(tmp_path):
+    """The line of a parse error cannot be written to a full stderr; the
+    failure's own exit code 2 still stands."""
+    with open("/dev/full", "wb") as stderr:
+        child = _cli("analyze", "nope.json", cwd=tmp_path, stderr=stderr)
+    assert (child.returncode, child.stdout) == (2, "")
