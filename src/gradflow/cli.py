@@ -23,7 +23,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import (ColumnSumError, GradFlowError, InputDimensionError,
-                     InputFormatError, NegativeRateError, OutputError)
+                     InputFormatError, NegativeRateError)
 from .serialize import (
     build_report,
     load_generator_document,
@@ -259,8 +259,18 @@ def cmd_markov(args) -> dict:
     return build_report("markov", digest, options, results)
 
 
+class _Parser(argparse.ArgumentParser):
+    """The help goes out through :func:`write_stdout`: argparse drops a failed write."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            write_stdout(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradflow",
         description="Decide whether dx/dt = A x is a gradient flow, "
                     "synthesize the gradient system, and certify its geometry.")
@@ -341,9 +351,9 @@ def _log_command(command: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    _log_command(args.command)
     try:
+        args = build_parser().parse_args(argv)
+        _log_command(args.command)
         with np.errstate(divide="raise", over="raise", invalid="raise"):  # so exit 5
             text = render_json(args.handler(args))
         out_report = getattr(args, "out", None)
@@ -374,20 +384,16 @@ def run() -> NoReturn:
     without the interpreter's teardown.  ``main`` has already written and
     flushed the report, every output file is closed and no thread or child
     process is running.  The interpreter's final flush of stdout is skipped
-    too, so a report that could not be written to a broken stdout ends the
-    process with ``main``'s exit code 2, not 120.  argparse's ``SystemExit``
-    (``--help``, a usage error) keeps its code once what argparse printed is
-    flushed through ``write_stdout`` (exit 2 if that fails).  Any other
+    too, so a report or help text that could not be written to a broken
+    stdout ends the process with ``main``'s exit code 2, not 120.
+    argparse's ``SystemExit`` (``--help``, a usage error) keeps its code:
+    the help has already been flushed through ``write_stdout``.  Any other
     exception that escapes ``main`` ends the process the ordinary way.
     """
     try:
         code = main()
     except SystemExit as exc:
         code = exc.code
-        try:
-            write_stdout("")
-        except OutputError as err:
-            code = _failure(OutputError, err)
     try:
         sys.stderr.flush()
     except (AttributeError, OSError):  # stderr closed or broken: the code stands

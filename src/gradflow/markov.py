@@ -243,6 +243,8 @@ def verify_entropic_flow(gen: GeneratorMatrix, structure: EntropicStructure,
     residual is the same for ``2**k A``.  Samples are drawn and checked in blocks
     of ``_BLOCK_DOUBLES // n``, so memory does not grow with ``samples``.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     if not is_reversible(gen, structure.stationary, tol):
         raise NotReversibleError("chain fails detailed balance")
     rng = np.random.default_rng(seed)

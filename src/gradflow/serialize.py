@@ -3,27 +3,29 @@
 Matrices travel as JSON ``{"dim": d, "rows": [[...], ...]}`` (row-major);
 generator files additionally declare ``"convention": "transposed"`` and are
 refused without it.  Synthesized systems bundle every object in one JSON
-document.  Trajectories are CSV with header ``t,x1,...,xd``.  All
-floating-point output is rendered with 17 significant digits so doubles
-round-trip exactly, and reports are emitted deterministically (stable key
-order, no locale dependence).  Every text file goes out through
-:func:`write_text`, which encodes, hashes and writes it a piece at a time
-to a temporary file that replaces the target only once it is whole; the
-report on stdout goes out through :func:`write_stdout`, which flushes it.
+document, read by key, with the fields in ``_SYSTEM_FIELDS`` order: the
+blocks ``matrix``, ``onsager``, ``hessian`` and ``transform``, the vectors
+``eigenvalues`` and ``equilibrium``, and the number ``residual``.
+Trajectories are CSV with header ``t,x1,...,xd``.  All floating-point
+output is rendered with 17 significant digits so doubles round-trip
+exactly, and reports are emitted deterministically (stable key order, no
+locale dependence).  Every text file goes out through :func:`write_text`,
+which encodes, hashes and writes it a piece at a time to a temporary file
+that replaces the target only once it is whole; the report on stdout goes
+out through :func:`write_stdout`, which flushes it.
 
 Beside a system file ``sys.json`` gradflow also writes a binary sidecar
 ``sys.json.cache``: one header line ``gradflow-system-cache <sha256> <d>``,
-then the raw little-endian float64 values of ``matrix``, ``onsager``,
-``hessian``, ``transform``, ``eigenvalues``, ``equilibrium`` and
-``residual``, ``4 d**2 + 2 d + 1`` doubles in all.  A reader takes the
-arrays from the sidecar only when its digest is the sha256 of the JSON
-bytes beside it and its size fits ``d``; otherwise it parses the JSON, so
-a stale, truncated or foreign sidecar is ignored and a JSON file copied
-without one still loads.  The JSON stays the product: it is what
-``inputs_digest`` names, and deleting the sidecar is always safe.  Both
-routes build the records through the same validation, and the sidecar
-holds the same doubles the JSON spells out (``-0`` reads back as ``+0``
-on either route), so no result depends on which route ran.
+then the raw little-endian float64 values of the same fields in the same
+order, ``4 d**2 + 2 d + 1`` doubles in all.  A reader takes the arrays from
+the sidecar only when its digest is the sha256 of the JSON bytes beside it
+and its size fits ``d``; otherwise it parses the JSON, so a stale,
+truncated or foreign sidecar is ignored and a JSON file copied without one
+still loads.  The JSON stays the product: it is what ``inputs_digest``
+names, and deleting the sidecar is always safe.  Both routes build the
+records through the same validation, and the sidecar holds the same doubles
+the JSON spells out (``-0`` reads back as ``+0`` on either route), so no
+result depends on which route ran.
 """
 
 from __future__ import annotations
@@ -272,8 +274,10 @@ def _output_error(path, exc: OSError) -> OutputError:
 
 
 _SIDECAR_MAGIC = b"gradflow-system-cache"
-_SYSTEM_MATRICES = ("matrix", "onsager", "hessian", "transform")
-_SYSTEM_VECTORS = ("eigenvalues", "equilibrium")
+# The fields of a system file in their order in the JSON and in the sidecar,
+# each with its rank: 2 for a d x d block, 1 for a d-vector, 0 for a number.
+_SYSTEM_FIELDS = (("matrix", 2), ("onsager", 2), ("hessian", 2), ("transform", 2),
+                  ("eigenvalues", 1), ("equilibrium", 1), ("residual", 0))
 
 
 def _sidecar_path(path) -> Path:
@@ -283,92 +287,78 @@ def _sidecar_path(path) -> Path:
 def save_system_document(path, matrix: np.ndarray, diag: Diagonalisation,
                          gs: CanonicalGradientSystem) -> None:
     """The one writer of the system-file layout: the records as one JSON
-    document, then its sidecar, which holds the same arrays in the order
-    :func:`_read_sidecar` splits them.  A sidecar that cannot be written is
-    left out, since the JSON file is the product; an earlier one is then
-    read only while its digest is still that of the JSON."""
+    document, then its sidecar, which holds the same arrays, both in
+    ``_SYSTEM_FIELDS`` order.  A sidecar that cannot be written is left
+    out, since the JSON file is the product; an earlier one is then read
+    only while its digest is still that of the JSON."""
     dim = int(matrix.shape[0])
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "gradient-system",
-        "dim": dim,
-        "matrix": {"dim": dim, "rows": matrix},
-        "onsager": {"dim": dim, "rows": gs.onsager},
-        "hessian": {"dim": dim, "rows": gs.hessian},
-        "equilibrium": gs.equilibrium,
-        "transform": {"dim": dim, "rows": diag.transform},
-        "eigenvalues": diag.eigenvalues,
-        "residual": float(diag.residual),
-    }
+    values = {"matrix": matrix, "transform": diag.transform,
+              "eigenvalues": diag.eigenvalues, "residual": float(diag.residual),
+              "onsager": gs.onsager, "hessian": gs.hessian, "equilibrium": gs.equilibrium}
+    document = {"schema_version": SCHEMA_VERSION, "kind": "gradient-system", "dim": dim}
+    for name, rank in _SYSTEM_FIELDS:
+        document[name] = {"dim": dim, "rows": values[name]} if rank == 2 else values[name]
     digest = write_text(path, chain(json_pieces(document), ["\n"]))
     header = b"%s %s %d\n" % (_SIDECAR_MAGIC, digest.encode(), dim)
-    # _SYSTEM_MATRICES, then _SYSTEM_VECTORS, then the residual
-    arrays = (matrix, gs.onsager, gs.hessian, diag.transform,
-              diag.eigenvalues, gs.equilibrium, np.array([diag.residual]))
     try:
         with _whole_file(_sidecar_path(path)) as fh:
             fh.write(header)
-            for array in arrays:
-                np.asarray(array, dtype="<f8").tofile(fh)
+            for name, _ in _SYSTEM_FIELDS:
+                np.asarray(values[name], dtype="<f8").tofile(fh)
     except OSError:
         pass
 
 
 def _read_sidecar(path, digest: str):
-    """The seven system arrays from the sidecar of ``path`` if it carries
-    ``digest`` and holds exactly ``4 d**2 + 2 d + 1`` finite doubles, else
+    """The system fields by name from the sidecar of ``path`` if it carries
+    ``digest`` and holds exactly ``d**rank`` finite doubles per field, else
     ``None``."""
     try:
         data = _sidecar_path(path).read_bytes()
     except OSError:
         return None
     end = data.find(b"\n", 0, 256)
-    fields = data[:end].split(b" ") if end > 0 else []
-    if (len(fields) != 3 or fields[0] != _SIDECAR_MAGIC or fields[1] != digest.encode()
-            or not fields[2].isdigit()):
+    header = data[:end].split(b" ") if end > 0 else []
+    if (len(header) != 3 or header[0] != _SIDECAR_MAGIC or header[1] != digest.encode()
+            or not header[2].isdigit()):
         return None
-    dim = int(fields[2])
-    sizes = [dim * dim] * len(_SYSTEM_MATRICES) + [dim] * len(_SYSTEM_VECTORS) + [1]
+    dim = int(header[2])
+    sizes = [dim ** rank for _, rank in _SYSTEM_FIELDS]
     if dim == 0 or len(data) - end - 1 != 8 * sum(sizes):
         return None
     body = np.frombuffer(data, dtype="<f8", offset=end + 1)
     if not np.all(np.isfinite(body)):
         return None
     # + 0.0: fresh arrays, and -0.0 becomes the +0.0 that the JSON's "-0" reads as
-    *matrices, eigenvalues, equilibrium, residual = (
-        part + 0.0 for part in np.split(body, np.cumsum(sizes)[:-1]))
-    return ([m.reshape(dim, dim) for m in matrices]
-            + [eigenvalues, equilibrium, float(residual[0])])
+    parts = np.split(body, np.cumsum(sizes)[:-1])
+    return {name: part.reshape((dim,) * rank) + 0.0
+            for (name, rank), part in zip(_SYSTEM_FIELDS, parts)}
 
 
 def _parse_system(data: bytes, path):
-    """The seven system arrays of a system file's JSON.  A field that is not
-    a finite number is an :class:`InputFormatError`, a ``dim`` or block that
-    disagrees with the others an :class:`InputDimensionError`."""
+    """The system fields by name from a system file's JSON.  A field that is
+    not a finite number is an :class:`InputFormatError`, a ``dim`` or field
+    of the wrong size an :class:`InputDimensionError`."""
     doc = _parse_json(data, path)
     if not isinstance(doc, dict) or doc.get("kind") != "gradient-system":
         raise InputFormatError(f"{path}: not a gradient-system document")
-    where = str(path)
     dim = doc.get("dim")
     if type(dim) is not int or dim <= 0:
-        raise InputFormatError(f"{where}: dim must be a positive integer")
-    fields = []
-    for key in _SYSTEM_MATRICES:
-        matrix = _matrix_from_block(doc.get(key), f"{where} {key}")
-        if matrix.shape[0] != dim:
+        raise InputFormatError(f"{path}: dim must be a positive integer")
+    fields = {}
+    for name, rank in _SYSTEM_FIELDS:
+        what, value = f"{path} {name}", doc.get(name)
+        if rank == 2:
+            array = _matrix_from_block(value, what)
+        elif isinstance(value, list) != (rank == 1):
+            expected = "a list of numbers" if rank else "a number"
+            raise InputFormatError(f"{what}: expected {expected}")
+        else:
+            array = _floats(value, value if rank else [value], what)
+        if array.shape != (dim,) * rank:
             raise InputDimensionError(
-                f"{where} {key}: dimension {matrix.shape[0]}, system has {dim}")
-        fields.append(matrix)
-    for key in _SYSTEM_VECTORS:
-        values = doc.get(key)
-        if not isinstance(values, list):
-            raise InputFormatError(f"{where} {key}: expected a list of numbers")
-        if len(values) != dim:
-            raise InputDimensionError(
-                f"{where} {key}: {len(values)} entries, system has dimension {dim}")
-        fields.append(_floats(values, values, f"{where} {key}"))
-    residual = doc.get("residual")
-    fields.append(float(_floats(residual, [residual], f"{where} residual")))
+                f"{what}: shape {array.shape}, system has dimension {dim}")
+        fields[name] = array
     return fields
 
 
@@ -388,13 +378,14 @@ def load_system_document(path):
     if fields is None:
         fields = _parse_system(data, path)
     del data
-    matrix, onsager, hessian, transform, eigenvalues, equilibrium, residual = fields
     try:
-        diag = Diagonalisation(transform, eigenvalues, residual)
-        gs = CanonicalGradientSystem(onsager, hessian, equilibrium)
+        diag = Diagonalisation(fields["transform"], fields["eigenvalues"],
+                               float(fields["residual"]))
+        gs = CanonicalGradientSystem(fields["onsager"], fields["hessian"],
+                                     fields["equilibrium"])
     except ValueError as exc:
         raise PreconditionError(f"{path}: not a gradient system ({exc})") from exc
-    return matrix, diag, gs, digest
+    return fields["matrix"], diag, gs, digest
 
 
 def write_trajectory_csv(path, trajectory) -> None:

@@ -870,3 +870,43 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(rows, argv, options):
         code, err = _exit_code([part.format(**fields) for part in argv + options])
     assert code in (0, 2, 3, 4, 5), err
     assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _json_in_place(draw):
+    """``(argv, document)``: one place of a valid input replaced by any JSON value."""
+    command = draw(st.sampled_from([["analyze"], ["markov", "validate"], ["verify"]]))
+    places = ["document", "dim", "rows"]
+    if command == ["verify"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            matrix, system = Path(tmp) / "a.json", Path(tmp) / "sys.json"
+            matrix.write_text(json.dumps(THREE_STATE_DOC))
+            assert _exit_code(["synthesize", str(matrix), "--out", str(system)])[0] == 0
+            document = json.loads(system.read_text())
+        places = ["document", *document]
+    else:
+        document = {"convention": "transposed", **THREE_STATE_DOC}
+    place, value = draw(st.sampled_from(places)), draw(JSON_VALUES)
+    return command, value if place == "document" else {**document, place: value}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_json_in_place())
+def test_any_json_value_in_any_place_keeps_the_exit_code_contract(case):
+    """Any JSON value as the whole document, as ``dim`` or ``rows``, or as
+    any field of a system file (read from its JSON, with no sidecar) ends in
+    exit 0/2/3/4/5, with no exception out of ``main``."""
+    command, document = case
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "input.json"
+        source.write_text(json.dumps(document))
+        code, err = _exit_code([command[0], str(source), *command[1:]])
+    assert code in (0, 2, 3, 4, 5), err
+    assert "Traceback" not in err

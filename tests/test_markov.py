@@ -315,6 +315,14 @@ def test_entropic_flow_identity_uniform_chain():
     assert report.num_samples == 300
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_entropic_flow_refuses_a_check_of_no_point(samples):
+    gen = reversible_three_state()
+    structure = EntropicStructure.from_generator(gen)
+    with pytest.raises(ValueError, match="at least one sample"):
+        verify_entropic_flow(gen, structure, samples=samples)
+
+
 def test_entropic_flow_identity_birth_death_chain():
     gen = birth_death_three_state()
     structure = EntropicStructure.from_generator(gen)

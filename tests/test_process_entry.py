@@ -166,13 +166,12 @@ def test_a_closed_stdout_exits_2_after_the_out_copy(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["command"] == "analyze"
 
 
-@pytest.mark.parametrize("sink", ["closed pipe", "full device"])
+@pytest.mark.parametrize("sink", ["closed pipe", "full device", "unbuffered closed pipe"])
 def test_help_that_cannot_be_written_exits_2(tmp_path, sink):
-    """argparse ends ``--help`` with ``SystemExit(0)`` while the help is
-    still in the buffer; the entry flushes it as it flushes a report, so the
-    failed write exits 2 with one line, not 120 from the interpreter's own
-    flush at shutdown."""
-    if sink == "closed pipe":
+    """The help goes out and is flushed as a report is, so a failed write
+    exits 2 with one line: not 120 from the interpreter's own flush at
+    shutdown, and not 0 from argparse dropping an unbuffered write's error."""
+    if sink.endswith("closed pipe"):
         read_end, write_end = os.pipe()
         os.close(read_end)
         stdout, reason = os.fdopen(write_end, "wb"), "Broken pipe"
@@ -181,7 +180,8 @@ def test_help_that_cannot_be_written_exits_2(tmp_path, sink):
     else:
         pytest.skip("needs /dev/full")
     with stdout:
-        child = _cli("--help", cwd=tmp_path, stdout=stdout)
+        child = _cli("--help", cwd=tmp_path, stdout=stdout,
+                     env={"PYTHONUNBUFFERED": "1"} if sink.startswith("unbuffered") else {})
     assert child.returncode == 2
     assert child.stderr == f"gradflow: output error: cannot write <stdout>: {reason}\n"
 

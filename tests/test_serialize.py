@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from gradflow import synthesize_canonical
 from gradflow.cli import main
 from gradflow.serialize import (
+    _SYSTEM_FIELDS,
     json_pieces,
     load_system_document,
     render_json,
@@ -158,10 +159,44 @@ THREE_STATE_ROWS = [[-2.0, -0.0, 2.0], [1.0, -3.0, 2.0], [1.0, 3.0, -4.0]]
 
 
 def _loaded_bits(system):
+    """The bytes of each loaded record's array, in ``_SYSTEM_FIELDS`` order."""
     matrix, diag, gs, digest = load_system_document(system)
-    arrays = (matrix, gs.onsager, gs.hessian, diag.transform, diag.eigenvalues,
-              gs.equilibrium, np.array(diag.residual))
-    return [a.tobytes() for a in arrays], digest
+    arrays = {"matrix": matrix, "transform": diag.transform, "eigenvalues": diag.eigenvalues,
+              "residual": np.array(diag.residual), "onsager": gs.onsager,
+              "hessian": gs.hessian, "equilibrium": gs.equilibrium}
+    return [arrays[name].tobytes() for name, _ in _SYSTEM_FIELDS], digest
+
+
+def _reversed_keys(value):
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(value)}
+    return value
+
+
+def test_system_json_is_read_by_key(tmp_path, capsys):
+    """Every key of the system file, nested ones too, in reverse order:
+    the JSON route loads the same bits."""
+    system = _synthesize(tmp_path, THREE_STATE_ROWS)
+    capsys.readouterr()
+    _sidecar(system).unlink()
+    doc = json.loads(system.read_text())
+    reordered = tmp_path / "reordered.json"
+    reordered.write_text(json.dumps(_reversed_keys(doc)))
+    assert list(json.loads(reordered.read_text())) == list(reversed(doc))
+    assert _loaded_bits(reordered)[0] == _loaded_bits(system)[0]
+
+
+def test_sidecar_body_is_the_fields_in_table_order(tmp_path, capsys):
+    """The sidecar is its header, then each field's doubles as the JSON
+    route reads them, in ``_SYSTEM_FIELDS`` order."""
+    rows = make_diagonalisation(np.random.default_rng(5), 12, cond=50.0).reconstruct()
+    system = _synthesize(tmp_path, rows.tolist())
+    capsys.readouterr()
+    header, _, body = _sidecar(system).read_bytes().partition(b"\n")
+    _sidecar(system).unlink()
+    bits, digest = _loaded_bits(system)
+    assert header == b"gradflow-system-cache %s 12" % digest.encode()
+    assert body == b"".join(bits)
 
 
 @pytest.mark.parametrize("rows", [
