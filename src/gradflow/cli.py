@@ -4,8 +4,8 @@ Exit code 0: the command completed (findings such as "not diagonalisable"
 are results, not errors).  A failure exits with the code and label of its
 class in :mod:`gradflow.errors`; numpy's linear-algebra and floating-point
 errors and ``MemoryError`` count as numeric failures (5).  Reports are
-printed to stdout as deterministic JSON; set the
-GRADFLOW_LOG environment variable (debug/info/warning) for diagnostics on stderr.
+printed to stdout as deterministic JSON; ``GRADFLOW_LOG=debug`` prints the
+command name on stderr, and no other level prints anything.
 :func:`main` returns the exit code; :func:`run`, the process entry, ends
 the process as soon as the output is flushed.
 """
@@ -184,13 +184,9 @@ def cmd_simulate(args) -> dict:
     if len(states) > 2:
         raise InputFormatError("at most two --x0 vectors are supported")
 
-    caught: list[str] = []
     with _warnings.catch_warnings(record=True) as collected:
         _warnings.simplefilter("always")
-        trajectory = _simulate_one(args, matrix, diag, gs, states[0])
-        companion = None
-        if len(states) == 2:
-            companion = _simulate_one(args, matrix, diag, gs, states[1])
+        trajectory, *companion = [_simulate_one(args, matrix, diag, gs, x0) for x0 in states]
         caught = [str(w.message) for w in collected]
 
     audit = flow.dissipation_audit(gs, trajectory)
@@ -206,15 +202,13 @@ def cmd_simulate(args) -> dict:
         "dissipation_defect": audit.dissipation_defect,
         "contraction_defect": None,
     }
-    if companion is not None:
+    if companion:
         from . import geometry
 
         lam = geometry.convexity_constants(diag).geodesic_lambda
-        d0 = geometry.metric_distance(diag, trajectory.states[0], companion.states[0])
-        gaps = np.linalg.norm(
-            (companion.states - trajectory.states) @ diag.transform.T, axis=1)
+        gaps = geometry.metric_distance(diag, trajectory.states, companion[0].states)
         results["contraction_defect"] = geometry.contraction_defect(
-            gaps, d0, lam, trajectory.times)
+            gaps, gaps[0], lam, trajectory.times)
     # written last, so a failed run leaves no complete-looking trajectory
     write_trajectory_csv(args.out, trajectory)
     options = {"method": args.method.value, "t_end": args.t_end,

@@ -244,6 +244,6 @@ def dissipation_audit(gs: CanonicalGradientSystem, traj: Trajectory) -> Dissipat
         return DissipationReport(energies, monotone, 0.0)
     dts = traj.times[2:] - traj.times[:-2]
     rate = (energies[2:] - energies[:-2]) / dts
-    grads = delta[1:-1] @ gs.hessian.T
+    grads = gs.energy_grad(traj.states[1:-1])
     defect = float(np.max(np.abs(rate + _quadratic_form(gs.onsager, grads))))
     return DissipationReport(energies, monotone, defect)

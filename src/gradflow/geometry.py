@@ -10,8 +10,8 @@ contraction inequalities.  Straight geodesics and a quadratic energy make
 each defect a closed form in ``dx = x2 - x1``, so each certificate is its
 exact worst case over all pairs per unit size of ``dx``: one symmetric
 eigenvalue, or one scalar per time.  :func:`contraction_defect` is the one
-form of the contraction bound, shared with the pair audit of ``simulate``.
-All of it reads the
+form of the contraction bound and :func:`metric_distance` the one distance,
+both shared with the pair audit of ``simulate``.  All of it reads the
 :class:`~gradflow.spectral.Diagonalisation` record: ``transform``,
 ``eigenvalues`` and the two cached operator norms.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexityConstantsError
-from .spectral import DEFAULT_TOL, Diagonalisation, _symmetric_part, as_vector, guarded_exp
+from .spectral import DEFAULT_TOL, Diagonalisation, _symmetric_part, guarded_exp
 from .synthesis import CanonicalGradientSystem
 
 
@@ -44,11 +44,14 @@ class ConvexityConstants:
     geodesic_factor: float
 
 
-def metric_distance(diag: Diagonalisation, x1, x2) -> float:
-    """Distance ``|transform @ (x2 - x1)|`` induced by the constant mobility."""
-    x1 = as_vector(x1, diag.dim)
-    x2 = as_vector(x2, diag.dim)
-    return float(np.linalg.norm(diag.transform @ (x2 - x1)))
+def metric_distance(diag: Diagonalisation, x1, x2) -> float | np.ndarray:
+    """Distance ``|transform @ (x2 - x1)|`` of the constant mobility; states in
+    rows (broadcast) give one per row, all from one product ``(x2 - x1) @ transform.T``."""
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    if any(x.ndim not in (1, 2) or x.shape[-1] != diag.dim or not np.isfinite(x).all()
+           for x in (x1, x2)):
+        raise ValueError(f"states must be finite, of dimension {diag.dim}, one per row")
+    return np.linalg.norm((x2 - x1) @ diag.transform.T, axis=-1)
 
 
 def convexity_constants(diag: Diagonalisation) -> ConvexityConstants:

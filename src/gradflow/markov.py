@@ -105,10 +105,10 @@ def validate_generator(a, tol: float = DEFAULT_TOL) -> GeneratorMatrix:
     preserve non-negativity and total probability.
     """
     a = as_square_matrix(a)
-    off, e = _unit_scale(a)
-    scale = float(np.max(np.abs(off)))
-    sums = off.sum(axis=0)
-    np.fill_diagonal(off, 0.0)
+    unit, e = _unit_scale(a)
+    scale = float(np.max(np.abs(unit)))
+    sums = unit.sum(axis=0)
+    off = np.where(np.eye(a.shape[0], dtype=bool), 0.0, unit)
     if np.min(off) < -tol * scale:
         i, j = np.unravel_index(np.argmin(off), off.shape)
         raise NegativeRateError(f"negative jump rate {a[i, j]:g} at ({i}, {j})")
@@ -182,6 +182,12 @@ def log_mean(a, b):
     return out
 
 
+def _laplacian(conductance: np.ndarray) -> np.ndarray:
+    """Graph Laplacian ``diag(c 1) - c`` of ``c = conductance``, diagonal zeroed in place."""
+    np.fill_diagonal(conductance, 0.0)
+    return np.diag(conductance.sum(axis=1)) - conductance
+
+
 def entropic_onsager(structure: EntropicStructure, x) -> np.ndarray:
     """State-dependent mobility of the entropy-driven chain.
 
@@ -194,9 +200,7 @@ def entropic_onsager(structure: EntropicStructure, x) -> np.ndarray:
     if np.min(x) <= 0.0:
         raise NonPositiveStateError("state must be strictly positive")
     ratio = x / structure.stationary
-    conduct = structure.weights * log_mean(ratio[:, None], ratio[None, :])
-    np.fill_diagonal(conduct, 0.0)
-    return np.diag(conduct.sum(axis=1)) - conduct
+    return _laplacian(structure.weights * log_mean(ratio[:, None], ratio[None, :]))
 
 
 def relative_entropy(x, stationary):
@@ -250,9 +254,7 @@ def verify_entropic_flow(gen: GeneratorMatrix, structure: EntropicStructure,
     rng = np.random.default_rng(seed)
     dim = gen.dim
     unit, e = _unit_scale(gen.matrix)
-    weights = np.ldexp(structure.weights, -e)
-    np.fill_diagonal(weights, 0.0)
-    defect_matrix = unit + (np.diag(weights.sum(axis=1)) - weights) / structure.stationary
+    defect_matrix = unit + _laplacian(np.ldexp(structure.weights, -e)) / structure.stationary
     velocity_floor = 1e-6 * np.linalg.norm(unit)
     interior = min(1e-3, 0.5 / dim)  # so that dim * interior <= 1/2
     block = max(1, _BLOCK_DOUBLES // dim)  # samples per block

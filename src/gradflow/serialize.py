@@ -336,12 +336,16 @@ def _read_sidecar(path, digest: str):
 
 
 def _parse_system(data: bytes, path):
-    """The system fields by name from a system file's JSON.  A field that is
-    not a finite number is an :class:`InputFormatError`, a ``dim`` or field
-    of the wrong size an :class:`InputDimensionError`."""
+    """The system fields by name from a system file's JSON.  A
+    ``schema_version`` other than ``SCHEMA_VERSION``, or none, and a field
+    that is not a finite number are an :class:`InputFormatError`; a ``dim``
+    or field of the wrong size is an :class:`InputDimensionError`."""
     doc = _parse_json(data, path)
     if not isinstance(doc, dict) or doc.get("kind") != "gradient-system":
         raise InputFormatError(f"{path}: not a gradient-system document")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        found = json.dumps(doc["schema_version"]) if "schema_version" in doc else "missing"
+        raise InputFormatError(f'{path}: schema_version {found}, expected "{SCHEMA_VERSION}"')
     dim = doc.get("dim")
     if type(dim) is not int or dim <= 0:
         raise InputFormatError(f"{path}: dim must be a positive integer")

@@ -176,12 +176,20 @@ def _is_symmetric(m: np.ndarray, tol: float) -> bool:
     return bool(np.linalg.norm(u - u.T) <= tol * np.linalg.norm(u))
 
 
-def _factorisation_residual(a: np.ndarray, e: int, vectors: np.ndarray,
-                            values: np.ndarray, transform: np.ndarray) -> float:
-    """``|a - vectors diag(values) transform|_F`` on the ``2**-e`` copy of
-    :func:`_unit_scale`, so it neither overflows nor underflows; ``ldexp(r, e)``
-    is the residual in the units of ``a``."""
-    return float(np.linalg.norm(np.ldexp(a - (vectors * values) @ transform, -e)))
+def _certify_eigenbasis(a, values, vectors, tol: float | None = None) -> Diagonalisation:
+    """The :class:`Diagonalisation` of the eigenbasis ``(values, vectors)`` of ``a``,
+    for both directions of the construction: the basis in :func:`canonical_eigenbasis`
+    form and its one inverse as ``transform``.  The residual ``|a - vectors
+    diag(values) transform|_F`` is measured on the :func:`_unit_scale` copy and
+    kept in the units of ``a``; given ``tol``, one above ``tol`` times that
+    copy's norm, or nan, raises ``ValueError``."""
+    values, vectors = canonical_eigenbasis(values, vectors)
+    transform = np.linalg.inv(vectors)
+    unit, e = _unit_scale(a)
+    residual = float(np.linalg.norm(np.ldexp(a - (vectors * values) @ transform, -e)))
+    if tol is not None and not residual <= tol * np.linalg.norm(unit):
+        raise ValueError(f"eigenbasis residual {residual:.3g} above {tol:g} |a|")
+    return Diagonalisation(transform, values, float(np.ldexp(residual, e)))
 
 
 def _decompose(a: np.ndarray, tol: float):
@@ -215,19 +223,14 @@ def _decompose(a: np.ndarray, tol: float):
     defective = SpectralReport(np.sort_complex(spectrum), False, FailureKind.DEFECTIVE)
     with np.errstate(all="ignore"):  # an overflow shows as a failed test below
         try:
-            values, vectors = canonical_eigenbasis(
-                *_realify_conjugate_pairs(spectrum, vectors))
-            transform = np.linalg.inv(vectors)
-            residual = _factorisation_residual(a, e, vectors, values, transform)
-            if not residual <= tol * scale:
-                return defective, None
-            diag = Diagonalisation(transform, values, float(np.ldexp(residual, e)))
-        except (np.linalg.LinAlgError, ValueError):  # a zero, singular or non-finite basis
+            diag = _certify_eigenbasis(a, *_realify_conjugate_pairs(spectrum, vectors), tol)
+        except (np.linalg.LinAlgError, ValueError):  # a bad basis or residual
             return defective, None
     condition = diag.transform_norm * diag.inverse_norm
     if condition * condition * tol >= 1.0:
         return defective, None
-    return SpectralReport(values.astype(complex), True, FailureKind.NONE, condition), diag
+    return (SpectralReport(diag.eigenvalues.astype(complex), True, FailureKind.NONE,
+                           condition), diag)
 
 
 def inspect_spectrum(a, tol: float = DEFAULT_TOL) -> SpectralReport:

@@ -28,13 +28,12 @@ from .errors import (
 from .spectral import (
     DEFAULT_TOL,
     Diagonalisation,
-    _factorisation_residual,
+    _certify_eigenbasis,
     _is_symmetric,
     _symmetric_part,
     _unit_scale,
     as_square_matrix,
     as_vector,
-    canonical_eigenbasis,
     symmetric_sqrt,
 )
 
@@ -185,11 +184,7 @@ def recover_diagonalisation(gs: CanonicalGradientSystem, a,
 
     eigenvalues, basis = np.linalg.eigh(_symmetric_part(transformed))
     # Columns of root @ basis are eigenvectors of a.
-    eigenvalues, eigenvectors = canonical_eigenbasis(eigenvalues, root @ basis)
-    transform = np.linalg.inv(eigenvectors)
-    _, e = _unit_scale(a)
-    residual = _factorisation_residual(a, e, eigenvectors, eigenvalues, transform)
-    return Diagonalisation(transform, eigenvalues, float(np.ldexp(residual, e)))
+    return _certify_eigenbasis(a, eigenvalues, root @ basis)
 
 
 def _central_difference_jacobian(fn, x0: np.ndarray, step: float, dim: int) -> np.ndarray:
@@ -210,7 +205,7 @@ def linearise_generalised(probe: GeneralisedSystemProbe, step: float | None = No
     The mobility is the force-Hessian of the dissipation potential at zero
     force and the energy curvature is the Hessian of the energy, both taken
     from the probe when supplied and otherwise by central finite differences
-    with ``step`` (default ``1e-5 * (1 + |equilibrium|)``).  Both matrices
+    with ``step`` (default ``1e-5 * max|equilibrium|``, ``1e-5`` at 0).  Both matrices
     are symmetrized and validated by :class:`CanonicalGradientSystem`;
     ``tol`` bounds only the rest check.
 
@@ -222,7 +217,7 @@ def linearise_generalised(probe: GeneralisedSystemProbe, step: float | None = No
     """
     eq = probe.equilibrium
     if step is None:
-        step = 1e-5 * (1.0 + np.linalg.norm(eq))
+        step = 1e-5 * (float(np.max(np.abs(eq))) or 1.0)
     if step <= 0.0:
         raise ValueError("finite-difference step must be positive")
 
@@ -260,10 +255,8 @@ def verify_flow_identity(a, gs: CanonicalGradientSystem) -> FlowResidualReport:
     if a.shape[0] != gs.dim:
         raise ValueError("matrix dimension does not match the system")
     unit, e = _unit_scale(a)
-    defect = np.linalg.norm(np.ldexp(a + gs.onsager @ gs.hessian, -e))
+    defect = np.linalg.norm(np.ldexp(a - gs.flow_matrix(), -e))
     scale = np.linalg.norm(unit)
-    if scale == 0.0:
-        residual = 0.0 if defect == 0.0 else float("inf")
-    else:
-        residual = float(defect / scale)
-    return FlowResidualReport(residual, 0, None)
+    if scale == 0.0:  # a = 0: only a zero defect passes
+        return FlowResidualReport(0.0 if defect == 0.0 else float("inf"), 0)
+    return FlowResidualReport(float(defect / scale), 0)

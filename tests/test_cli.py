@@ -219,6 +219,26 @@ def test_simulate_pair_reports_contraction_defect(workdir, capsys):
     assert report["results"]["contraction_defect"] == 0.0
 
 
+def test_simulate_pair_start_contributes_no_defect(workdir, capsys):
+    """At t = 0 the contraction bound is the start distance itself, so the
+    defect there is exactly 0.  The start distance is the first of the gaps,
+    all from one product: a second spelling of it once differed in the last
+    bits and read a defect near 1e-15 on some of these pairs."""
+    tmp_path, write = workdir
+    system = str(tmp_path / "system.json")
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        planted = make_diagonalisation(rng, 12)
+        matrix = write("a.json", {"dim": 12, "rows": planted.reconstruct().tolist()})
+        assert run(capsys, "synthesize", matrix, "--out", system)[0] == 0
+        starts = [",".join(map(repr, rng.standard_normal(12).tolist())) for _ in range(2)]
+        code, report, _ = run(capsys, "simulate", system, *(f"--x0={x}" for x in starts),
+                              "--t-end", "1", "--nodes", "5",
+                              "--out", str(tmp_path / "t.csv"))
+        assert code == 0
+        assert report["results"]["contraction_defect"] == 0.0
+
+
 @pytest.mark.filterwarnings("error")
 def test_simulate_identical_pair_on_expanding_system_is_clean(workdir, capsys):
     tmp_path, write = workdir
@@ -342,6 +362,17 @@ def test_simulate_x0_length_mismatch_exits_3(workdir, capsys):
     code, _, _ = run(capsys, "simulate", system, "--x0", "1,0",
                      "--t-end", "1", "--out", str(tmp_path / "t.csv"))
     assert code == 3
+
+
+def test_simulate_x0_non_number_exits_2(workdir, capsys):
+    tmp_path, write = workdir
+    system = str(tmp_path / "system.json")
+    run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", system)
+    code, report, err = run(capsys, "simulate", system, "--x0", "1,a,0",
+                            "--t-end", "1", "--out", str(tmp_path / "t.csv"))
+    assert code == 2 and report is None
+    assert "gradflow: parse error: bad state vector '1,a,0'" in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_markov_subcommands(workdir, capsys):
@@ -561,7 +592,7 @@ def test_every_failure_exits_with_a_documented_code_and_label(
 
 # T = 1e160 I diagonalises diag(-1, 0), but |T|^2 is beyond the double range.
 LARGE_NORM_SYSTEM = {
-    "kind": "gradient-system", "dim": 2,
+    "schema_version": "1", "kind": "gradient-system", "dim": 2,
     "matrix": {"dim": 2, "rows": [[-1.0, 0.0], [0.0, 0.0]]},
     "onsager": {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]},
     "hessian": {"dim": 2, "rows": [[1.0, 0.0], [0.0, 0.0]]},

@@ -43,6 +43,22 @@ def test_distance_vanishes_only_on_diagonal(rng):
     assert metric_distance(diag, x, y) > 0.0
 
 
+def test_distance_of_states_in_rows(rng):
+    """Rows give one distance per row, a single state broadcasts against
+    rows, and a state of the wrong size is refused."""
+    diag = make_diagonalisation(rng, 4, cond=20.0)
+    x1, x2 = rng.standard_normal((2, 6, 4))
+    gaps = metric_distance(diag, x1, x2)
+    assert gaps.shape == (6,)
+    for k in range(6):
+        assert gaps[k] == pytest.approx(metric_distance(diag, x1[k], x2[k]), rel=1e-13)
+    spread = metric_distance(diag, x1[0], x2)
+    assert spread == pytest.approx([metric_distance(diag, x1[0], x) for x in x2], rel=1e-13)
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 4)), [0.0, np.nan, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            metric_distance(diag, bad, x2[0])
+
+
 def test_metric_axioms_on_samples(rng):
     diag = make_diagonalisation(rng, 5, cond=40.0)
     for _ in range(50):

@@ -209,6 +209,17 @@ def test_entropic_structure_rejects_nonreversible():
         EntropicStructure.from_generator(nonreversible_three_state())
 
 
+@pytest.mark.parametrize("stationary, weights, message", [
+    ([0.5, 0.5], np.ones((3, 3)), "weights dimension"),
+    ([1.0, 0.0], np.ones((2, 2)), "strictly positive"),
+    ([0.5, 0.6], np.ones((2, 2)), "sum to 1"),
+    ([0.5, 0.5], [[1.0, 2.0], [1.0, 1.0]], "symmetric"),
+], ids=["wrong-size", "zero-probability", "sum-not-1", "asymmetric-weights"])
+def test_entropic_structure_refuses_inconsistent_records(stationary, weights, message):
+    with pytest.raises(ValueError, match=message):
+        EntropicStructure(np.array(stationary), np.array(weights))
+
+
 def test_onsager_at_stationarity_is_scaled_laplacian():
     structure = EntropicStructure.from_generator(reversible_three_state())
     expected = np.array([[2.0, -1.0, -1.0],

@@ -329,6 +329,26 @@ def test_malformed_system_fields_exit_2_or_3(tmp_path, capsys, key, value, code)
         assert captured.out == "" and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("version, named", [
+    ({"x": [1]}, '{"x": [1]}'), ("2", '"2"'), (None, "null"), ("missing", "missing"),
+], ids=["object", "2", "null", "missing"])
+def test_unknown_schema_version_exits_2(tmp_path, capsys, version, named):
+    """Only the ``schema_version`` this reader knows is read; any other value,
+    or none, is a parse error that names what the file holds."""
+    doc = json.loads(_synthesize(tmp_path, THREE_STATE_ROWS).read_text())
+    if version == "missing":
+        del doc["schema_version"]
+    else:
+        doc["schema_version"] = version
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f'schema_version {named}, expected "1"' in captured.err
+
+
 def test_sidecar_records_that_fail_their_checks_exit_4(tmp_path, capsys):
     """The sidecar route builds the records through the same checks as the
     JSON: an asymmetric hessian under the JSON's own digest exits 4."""

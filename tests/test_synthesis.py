@@ -182,6 +182,21 @@ def test_linearise_finite_difference_error_is_second_order():
     assert 3.0 <= defects[0] / defects[1] <= 5.0
 
 
+@pytest.mark.parametrize("k", [0, -20, -40])
+def test_linearise_default_step_follows_the_equilibrium_scale(k):
+    """An entropy-like gradient ``log(x / eq)`` at ``eq = 2**k (1, 2)``: the
+    default step scales with ``eq``, so it neither leaves the positive
+    orthant nor loses the curvature ``diag(1 / eq)`` as ``eq`` shrinks."""
+    eq = np.ldexp(np.array([1.0, 2.0]), k)
+    probe = GeneralisedSystemProbe(
+        2, eq,
+        energy_grad=lambda x: np.log(np.asarray(x) / eq),
+        dissipation_grad=lambda x, force: np.asarray(x) * np.asarray(force))
+    lin = linearise_generalised(probe)
+    assert np.allclose(lin.hessian * eq, np.eye(2), rtol=0.0, atol=1e-9)
+    assert np.allclose(lin.onsager / eq, np.eye(2), rtol=0.0, atol=1e-9)
+
+
 def test_linearise_rejects_non_equilibrium():
     probe = GeneralisedSystemProbe(
         2, np.array([1.0, 0.0]),
