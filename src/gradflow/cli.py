@@ -129,11 +129,14 @@ def cmd_synthesize(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    from .spectral import _factorisation_residual
     from .synthesis import verify_flow_identity
 
-    matrix, _, gs, digest = load_system_document(args.input)
+    matrix, diag, gs, digest = load_system_document(args.input)
     residual = verify_flow_identity(matrix, gs).max_residual
-    results = {"max_residual": residual, "passed": bool(residual <= args.tol)}
+    factorisation = _factorisation_residual(matrix, diag)
+    results = {"max_residual": residual, "factorisation_residual": factorisation,
+               "passed": bool(max(residual, factorisation) <= args.tol)}
     return build_report("verify", digest, {"tol": args.tol}, results)
 
 
@@ -291,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="system JSON file to write")
     p.set_defaults(handler=cmd_synthesize)
 
-    p = sub.add_parser("verify", help="check a system file's flow identity")
+    p = sub.add_parser("verify",
+                       help="check a system file's flow identity and factorisation")
     p.add_argument("input", help="system JSON file")
     common(p)
     p.add_argument("--out", help="also write the report to this file")

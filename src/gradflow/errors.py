@@ -93,8 +93,8 @@ class DegenerateKernelError(PreconditionError):
     """Generator kernel is not one-dimensional (reducible chain)."""
 
 
-class NonPositiveKernelError(GradFlowError):
-    """Kernel vector has mixed signs or vanishing entries."""
+class NonPositiveKernelError(PreconditionError):
+    """Kernel vector has mixed signs or vanishing entries (a transient state)."""
 
 
 class NonPositiveInputError(GradFlowError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, SingularStepError
 from .spectral import (Diagonalisation, _symmetric_part, _unit_scale, as_square_matrix,
-                       as_vector, guarded_exp)
+                       as_states, as_vector, guarded_exp)
 from .synthesis import CanonicalGradientSystem, _quadratic_form
 
 
@@ -65,16 +65,14 @@ def exact_flow(diag: Diagonalisation, x0, t: float) -> np.ndarray:
 
     Computes ``eigenvectors @ diag(exp(t w)) @ transform @ x0`` by
     :func:`_exact_rows`, with the record's cached ``eigenvectors``.  ``x0``
-    may be a single state or an array of states in rows.  Negative ``t``
-    runs the flow backwards; the formula is its own inverse under t -> -t.
+    may be a single finite state or an array of them in rows, as
+    :func:`~gradflow.spectral.as_states` checks.  Negative ``t`` runs the
+    flow backwards; the formula is its own inverse under t -> -t.
     Raises :class:`FlowOverflowError` when some ``t * w_i`` exceeds the
     double-precision exponential range in a mode that some start excites;
     rescale time in that case.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim not in (1, 2) or x0.shape[-1] != diag.dim:
-        raise ValueError("state dimension does not match the diagonalisation")
-    return _exact_rows(diag, x0, t * diag.eigenvalues)
+    return _exact_rows(diag, as_states(x0, diag.dim), t * diag.eigenvalues)
 
 
 def _modal_rows(from_modes: np.ndarray, factors: np.ndarray,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexityConstantsError
-from .spectral import DEFAULT_TOL, Diagonalisation, _symmetric_part, guarded_exp
+from .spectral import DEFAULT_TOL, Diagonalisation, _symmetric_part, as_states, guarded_exp
 from .synthesis import CanonicalGradientSystem
 
 
@@ -47,10 +47,7 @@ class ConvexityConstants:
 def metric_distance(diag: Diagonalisation, x1, x2) -> float | np.ndarray:
     """Distance ``|transform @ (x2 - x1)|`` of the constant mobility; states in
     rows (broadcast) give one per row, all from one product ``(x2 - x1) @ transform.T``."""
-    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-    if any(x.ndim not in (1, 2) or x.shape[-1] != diag.dim or not np.isfinite(x).all()
-           for x in (x1, x2)):
-        raise ValueError(f"states must be finite, of dimension {diag.dim}, one per row")
+    x1, x2 = as_states(x1, diag.dim), as_states(x2, diag.dim)
     return np.linalg.norm((x2 - x1) @ diag.transform.T, axis=-1)
 
 

@@ -58,6 +58,14 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def as_states(x, dim: int) -> np.ndarray:
+    """Validate ``x`` as a finite state of dimension ``dim``, or such states in rows."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != dim or not np.all(np.isfinite(v)):
+        raise ValueError(f"states must be finite, of dimension {dim}, one per row")
+    return v
+
+
 class FailureKind(enum.Enum):
     """Why a matrix failed (or passed) the real-diagonalisability test."""
 
@@ -163,6 +171,28 @@ def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, int]:
     exact copy whose largest entry lies in [0.5, 1)."""
     e = int(np.frexp(np.max(np.abs(m)))[1])
     return np.ldexp(m, -e), e
+
+
+def _relative(defect: float, scale: float) -> float:
+    """``defect / scale``; a zero ``scale`` (``a = 0``) reads 0 for a zero
+    defect, else 1: the whole of the other side is defect."""
+    if scale == 0.0:
+        return 0.0 if defect == 0.0 else 1.0
+    return float(defect / scale)
+
+
+def _factorisation_residual(a: np.ndarray, diag: Diagonalisation) -> float:
+    """Relative defect ``|T a - diag(w) T|_F / (|T|_2 |a|_F)`` of the factorisation
+    ``a = inv(T) diag(w) T`` that ``diag`` claims for ``a``.
+
+    ``T a - diag(w) T = T (a - inv(T) diag(w) T)``, so it needs no inverse.
+    It is read on the :func:`_unit_scale` copy of ``a``, with ``w`` scaled
+    alike, so ``(2**k a, 2**k w)`` reads the same; ``|T|_2`` is
+    ``diag.transform_norm``."""
+    unit, e = _unit_scale(a)
+    t = diag.transform
+    defect = np.linalg.norm(t @ unit - np.ldexp(diag.eigenvalues, -e)[:, None] * t)
+    return _relative(defect, diag.transform_norm * np.linalg.norm(unit))
 
 
 def _symmetric_part(m: np.ndarray) -> np.ndarray:

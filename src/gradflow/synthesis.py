@@ -30,6 +30,7 @@ from .spectral import (
     Diagonalisation,
     _certify_eigenbasis,
     _is_symmetric,
+    _relative,
     _symmetric_part,
     _unit_scale,
     as_square_matrix,
@@ -249,14 +250,12 @@ def verify_flow_identity(a, gs: CanonicalGradientSystem) -> FlowResidualReport:
 
     For quadratic energies the pointwise flow identity is equivalent to this
     operator identity, so the check is exhaustive rather than sampled.  Both
-    Frobenius norms are taken in the units of ``spectral._unit_scale(a)``.
+    Frobenius norms are taken in the units of ``spectral._unit_scale(a)``;
+    for ``a = 0`` there is no scale, and any defect but 0 reads 1.
     """
     a = as_square_matrix(a)
     if a.shape[0] != gs.dim:
         raise ValueError("matrix dimension does not match the system")
     unit, e = _unit_scale(a)
     defect = np.linalg.norm(np.ldexp(a - gs.flow_matrix(), -e))
-    scale = np.linalg.norm(unit)
-    if scale == 0.0:  # a = 0: only a zero defect passes
-        return FlowResidualReport(0.0 if defect == 0.0 else float("inf"), 0)
-    return FlowResidualReport(float(defect / scale), 0)
+    return FlowResidualReport(_relative(defect, np.linalg.norm(unit)), 0)

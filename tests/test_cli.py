@@ -125,7 +125,78 @@ def test_verify_command_passes_and_validates_schema(workdir, capsys):
     code, report, _ = run(capsys, "verify", out)
     assert code == 0
     assert report["results"]["passed"] is True
+    assert report["results"]["factorisation_residual"] <= 1e-15
     jsonschema.validate(report, REPORT_SCHEMA)
+
+
+def _mutated_system(system: Path, name: str, mutate) -> str:
+    """A copy of ``system`` (without its sidecar) after ``mutate(doc)``."""
+    doc = json.loads(system.read_text())
+    mutate(doc)
+    path = system.with_name(name)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _change_eigenvalue(doc):
+    doc["eigenvalues"][-1] = 2.0
+
+
+def _double_and_reverse_rows(doc):
+    rows = doc["transform"]["rows"]
+    rows[0] = [2.0 * x for x in rows[0]]
+    rows[1].reverse()
+
+
+@pytest.mark.parametrize("mutate", [_change_eigenvalue, _double_and_reverse_rows],
+                         ids=["eigenvalue-0-to-2", "transform-rows"])
+def test_verify_fails_a_transform_that_does_not_factor_the_matrix(workdir, capsys, mutate):
+    """``A = -K B`` still holds, but ``T A = diag(w) T`` does not: the
+    factorisation that convexity and simulate read is not the matrix's."""
+    tmp_path, write = workdir
+    system = tmp_path / "system.json"
+    run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", str(system))
+    code, report, _ = run(capsys, "verify", _mutated_system(system, "bad.json", mutate))
+    assert code == 0
+    results = report["results"]
+    assert results["max_residual"] <= 1e-15
+    assert results["factorisation_residual"] > 0.1
+    assert results["passed"] is False
+
+
+@pytest.mark.parametrize("k", [-40, 40])
+def test_factorisation_residual_is_the_same_at_any_scale(workdir, capsys, k):
+    """``A``, ``w`` and the hessian times ``2**k``: both residuals read the same bits."""
+    tmp_path, write = workdir
+    planted = make_diagonalisation(np.random.default_rng(8), 8, cond=30.0)
+    system = tmp_path / "system.json"
+    run(capsys, "synthesize", write("a.json", {"dim": 8, "rows": planted.reconstruct().tolist()}),
+        "--out", str(system))
+
+    def scale(doc):
+        for key in ("matrix", "hessian"):
+            doc[key]["rows"] = np.ldexp(doc[key]["rows"], k).tolist()
+        doc["eigenvalues"] = np.ldexp(doc["eigenvalues"], k).tolist()
+
+    results = [run(capsys, "verify", path)[1]["results"]
+               for path in (str(system), _mutated_system(system, "scaled.json", scale))]
+    assert results[0] == results[1]
+    assert 0.0 < results[0]["factorisation_residual"] <= 1e-14
+
+
+def test_verify_of_a_zero_matrix_with_a_nonzero_flow_fails_without_traceback(workdir, capsys):
+    """``A = 0`` leaves no scale to divide by: a nonzero ``K B`` and ``w`` read 1."""
+    _, write = workdir
+    eye = {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]}
+    system = write("zero.json", {
+        "schema_version": "1", "kind": "gradient-system", "dim": 2,
+        "matrix": {"dim": 2, "rows": [[0.0, 0.0], [0.0, 0.0]]},
+        "onsager": eye, "hessian": eye, "equilibrium": [0.0, 0.0], "transform": eye,
+        "eigenvalues": [-1.0, -1.0], "residual": 0.0})
+    code, report, err = run(capsys, "verify", system)
+    assert (code, err) == (0, "")
+    assert report["results"] == {"max_residual": 1.0, "factorisation_residual": 1.0,
+                                 "passed": False}
 
 
 def test_convexity_command_reports_certificates(workdir, capsys):
@@ -386,12 +457,13 @@ def test_markov_subcommands(workdir, capsys):
     assert np.allclose(report["results"]["distribution"], 1.0 / 3.0)
     code, report, _ = run(capsys, "markov", gen, "reversible")
     assert code == 0 and report["results"]["reversible"] is True
-    code, report, _ = run(capsys, "markov", gen, "entropic-verify",
-                          "--samples", "100")
-    assert code == 0
-    assert report["results"]["max_residual"] <= 1e-9
-    assert report["results"]["passed"] is True
-    jsonschema.validate(report, REPORT_SCHEMA)
+    for argv, samples in (([], 1000), (["--samples", "100"], 100)):  # the default first
+        code, report, _ = run(capsys, "markov", gen, "entropic-verify", *argv)
+        assert code == 0
+        assert report["results"]["num_samples"] == samples
+        assert report["results"]["max_residual"] <= 1e-9
+        assert report["results"]["passed"] is True
+        jsonschema.validate(report, REPORT_SCHEMA)
 
 
 def test_markov_nonreversible_findings_and_errors(workdir, capsys):
@@ -427,6 +499,18 @@ def test_markov_reducible_chain_is_a_precondition_failure(workdir, capsys):
     assert code == 4 and report is None
     assert "precondition failed: kernel dimension 2" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", [[[-1, 0], [1, 0]], [[-1, 0, 0], [1, -1, 1], [0, 1, -1]]],
+                         ids=["two-state", "three-state"])
+@pytest.mark.parametrize("subcommand", ["stationary", "reversible", "entropic-verify"])
+def test_markov_transient_state_is_a_precondition_failure(workdir, capsys, rows, subcommand):
+    """State 0 drains into the rest and is never re-entered: the kernel is
+    one-dimensional but vanishes there, so the chain is reducible."""
+    _, write = workdir
+    gen = write("gen.json", {"convention": "transposed", "dim": len(rows), "rows": rows})
+    assert run(capsys, "markov", gen, subcommand) == (
+        4, None, "gradflow: precondition failed: kernel vector is not strictly positive\n")
 
 
 def test_markov_requires_convention_marker(workdir, capsys):
@@ -550,6 +634,24 @@ def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("verify", "{matrix}"), ": not a gradient-system document\n"),
+    (("verify", "{missing}"), "gradflow: parse error: cannot read "),
+    (("analyze", "{matrix}", "--tol", "abc"), "argument --tol: invalid float value: 'abc'\n"),
+], ids=["matrix-as-system", "missing-file", "tol-not-a-number"])
+def test_refused_arguments_exit_2_naming_the_reason(workdir, capsys, argv, reason):
+    tmp_path, write = workdir
+    fields = {"matrix": write("a.json", THREE_STATE_DOC), "missing": tmp_path / "missing.json"}
+    argv = [a.format(**fields) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert reason in captured.err and "Traceback" not in captured.err
+
+
 def test_memory_error_exits_5(workdir, capsys, monkeypatch):
     _, write = workdir
 
@@ -636,8 +738,8 @@ def test_ill_conditioned_transform_is_defective_and_exits_4_without_out_file(
     code, report, err = run(capsys, "synthesize", matrix, "--out", str(system))
     assert code == 4 and report is None
     assert "precondition failed" in err and "Traceback" not in err
-    assert not system.exists()
-    assert not (tmp_path / "system.json.cache").exists()
+    # no system file, sidecar or temporary file
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
 
 
 @pytest.mark.parametrize("dim", [6, 20])

@@ -104,6 +104,20 @@ def test_exact_flow_batches_rows(rng):
         assert np.allclose(row, exact_flow(diag, x0, 0.4), atol=1e-13)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda diag: exact_flow(diag, [1.0, 0.0], 1.0), "of dimension 3"),
+    (lambda diag: exact_flow(diag, [np.nan, 0.0, 0.0], 1.0), "must be finite"),
+    (lambda diag: exact_flow(diag, [[1.0, 0.0, np.inf]], 1.0), "must be finite"),
+    (lambda diag: exact_trajectory(diag, [1.0, 0.0, 0.0], -1.0), "t_end must be non-negative"),
+    (lambda diag: exact_trajectory(diag, [1.0, 0.0, 0.0], 1.0, nodes=0), "at least one node"),
+], ids=["flow-wrong-dimension", "flow-nan-start", "flow-inf-row", "trajectory-negative-t",
+        "trajectory-no-nodes"])
+def test_exact_routes_refuse_bad_arguments(call, message):
+    diag = Diagonalisation(np.eye(3), np.array([-1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match=message):
+        call(diag)
+
+
 def test_exact_trajectory_shape_and_start(rng):
     diag = make_diagonalisation(rng, 3)
     x0 = rng.standard_normal(3)

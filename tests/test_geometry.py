@@ -50,6 +50,7 @@ def test_distance_of_states_in_rows(rng):
     x1, x2 = rng.standard_normal((2, 6, 4))
     gaps = metric_distance(diag, x1, x2)
     assert gaps.shape == (6,)
+    assert np.array_equal(gaps, np.linalg.norm((x2 - x1) @ diag.transform.T, axis=-1))
     for k in range(6):
         assert gaps[k] == pytest.approx(metric_distance(diag, x1[k], x2[k]), rel=1e-13)
     spread = metric_distance(diag, x1[0], x2)

@@ -195,6 +195,7 @@ def test_sidecar_body_is_the_fields_in_table_order(tmp_path, capsys):
     header, _, body = _sidecar(system).read_bytes().partition(b"\n")
     _sidecar(system).unlink()
     bits, digest = _loaded_bits(system)
+    assert digest == hashlib.sha256(system.read_bytes()).hexdigest()
     assert header == b"gradflow-system-cache %s 12" % digest.encode()
     assert body == b"".join(bits)
 
@@ -303,6 +304,12 @@ def test_unwritable_sidecar_does_not_fail_synthesize(tmp_path, capsys):
     ("equilibrium", ["0", "0", "0"], 2),
     ("eigenvalues", [float("-inf"), -3.0, 0.0], 2),
     ("matrix", {"dim": 3, "rows": [[-2, "0", 2], [1, -3, 2], [1, 3, -4]]}, 2),
+    ("matrix", [[-2, 0, 2], [1, -3, 2], [1, 3, -4]], 2),
+    ("onsager", {"dim": 0, "rows": []}, 2),
+    ("hessian", {"dim": 3, "rows": "[[1]]"}, 2),
+    ("equilibrium", 0.0, 2),
+    ("residual", [0.0], 2),
+    ("dim", 0, 2),
     ("dim", 7, 3),
     ("matrix", {"dim": 2, "rows": [[-2, 0], [1, -3]]}, 3),
     ("hessian", {"dim": 3, "rows": [[1, 2, 0], [0, 1, 0], [0, 0, 1]]}, 4),
@@ -310,7 +317,9 @@ def test_unwritable_sidecar_does_not_fail_synthesize(tmp_path, capsys):
     ("transform", {"dim": 3, "rows": [[1, 0, 0], [1, 0, 0], [0, 0, 1]]}, 4),
     ("residual", -1, 4),
 ], ids=["residual-nan", "residual-inf", "residual-string", "residual-bool",
-        "equilibrium-strings", "eigenvalue-inf", "matrix-string", "dim-7", "matrix-2x2",
+        "equilibrium-strings", "eigenvalue-inf", "matrix-string", "matrix-bare-rows",
+        "onsager-dim-0", "hessian-rows-string", "equilibrium-number", "residual-list",
+        "dim-0", "dim-7", "matrix-2x2",
         "hessian-asymmetric", "onsager-indefinite", "transform-singular",
         "residual-negative"])
 def test_malformed_system_fields_exit_2_or_3(tmp_path, capsys, key, value, code):
@@ -323,10 +332,13 @@ def test_malformed_system_fields_exit_2_or_3(tmp_path, capsys, key, value, code)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
     capsys.readouterr()
+    label = {2: "parse error", 3: "dimension error", 4: "precondition failed"}[code]
     for command in (["verify", str(bad)], ["convexity", str(bad), "--samples", "10"]):
         assert main(command) == code
         captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert captured.err.startswith(f"gradflow: {label}: {bad}")
+        assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("version, named", [
@@ -345,8 +357,8 @@ def test_unknown_schema_version_exits_2(tmp_path, capsys, version, named):
     capsys.readouterr()
     assert main(["verify", str(bad)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    assert f'schema_version {named}, expected "1"' in captured.err
+    assert captured.out == ""
+    assert captured.err == f'gradflow: parse error: {bad}: schema_version {named}, expected "1"\n'
 
 
 def test_sidecar_records_that_fail_their_checks_exit_4(tmp_path, capsys):
@@ -382,6 +394,14 @@ def test_json_that_python_cannot_decode_is_a_parse_error(tmp_path, capsys, argv,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "gradflow: parse error:" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value, error", [
+    (float("nan"), ValueError), ({1: 0.0}, TypeError), (object(), TypeError)],
+    ids=["nan", "integer-key", "object"])
+def test_json_pieces_refuse_what_json_cannot_spell(value, error):
+    with pytest.raises(error):
+        render_json({"results": [value]})
 
 
 @pytest.mark.parametrize("rows", ["[[1" + "0" * 400 + "]]", "[[true]]", '[["1"]]', "[[null]]"],

@@ -22,6 +22,7 @@ from gradflow import (
     validate_generator,
 )
 from gradflow.errors import NotDiagonalisableError, NotSPDError
+from gradflow.spectral import as_vector, canonical_eigenbasis
 
 from conftest import make_diagonalisation, make_transform
 
@@ -139,6 +140,20 @@ def test_rejects_invalid_input():
         real_diagonalise(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         real_diagonalise(np.eye(2), tol=0.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: as_vector(np.eye(2)), ValueError, "expected a vector, got shape"),
+    (lambda: as_vector([0.0, np.nan]), ValueError, "vector entries must be finite"),
+    (lambda: canonical_eigenbasis(np.array([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, 0.0]])),
+     ValueError, "eigenbasis contains a zero column"),
+    # finite entries whose largest eigenvalue, 3e308, is not
+    (lambda: inspect_spectrum(np.full((2, 2), 1.5e308)), np.linalg.LinAlgError,
+     "eigenvalues exceed the double range"),
+], ids=["vector-of-rank-2", "vector-nan", "zero-eigenvector", "eigenvalue-overflow"])
+def test_validators_refuse_malformed_arrays(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_diagonalisation_validates_fields():

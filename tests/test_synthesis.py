@@ -262,6 +262,33 @@ def test_probe_rejects_nonvanishing_rest_velocity():
             dissipation_grad=lambda x, force: np.asarray(force) + 1.0)
 
 
+def _linear_probe(dim=2):
+    return GeneralisedSystemProbe(
+        dim, np.zeros(dim),
+        energy_grad=lambda x: np.asarray(x, dtype=float),
+        dissipation_grad=lambda x, force: np.asarray(force, dtype=float))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CanonicalGradientSystem(np.eye(2), np.eye(3), np.zeros(2)),
+     "onsager and hessian dimensions disagree"),
+    (lambda: _linear_probe(0), "dim must be positive"),
+    (lambda: linearise_generalised(_linear_probe(), step=0.0), "step must be positive"),
+    (lambda: verify_flow_identity(np.eye(2), nonreversible_three_state_system()),
+     "matrix dimension does not match the system"),
+], ids=["system-sizes-disagree", "probe-dim-0", "linearise-step-0", "flow-identity-size"])
+def test_constructions_refuse_inconsistent_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_flow_identity_of_a_zero_matrix_is_relative_to_nothing():
+    """``a = 0`` has no norm to divide by: a zero defect reads 0, any other 1."""
+    for hessian, residual in ((np.zeros((2, 2)), 0.0), (np.eye(2), 1.0)):
+        gs = CanonicalGradientSystem(np.eye(2), hessian, np.zeros(2))
+        assert verify_flow_identity(np.zeros((2, 2)), gs).max_residual == residual
+
+
 def test_flow_identity_report_scales_with_perturbation():
     matrix = nonreversible_three_state().matrix
     gs = nonreversible_three_state_system()
