@@ -23,7 +23,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import (ColumnSumError, GradFlowError, InputDimensionError,
-                     InputFormatError, NegativeRateError)
+                     InputFormatError, NegativeRateError, PreconditionError)
 from .serialize import (
     build_report,
     load_generator_document,
@@ -35,7 +35,8 @@ from .serialize import (
     write_text,
     write_trajectory_csv,
 )
-from .spectral import DEFAULT_TOL, inspect_spectrum, real_diagonalise
+from .spectral import (DEFAULT_TOL, _factorisation_residual, inspect_spectrum,
+                       real_diagonalise)
 
 # Largest --samples, --nodes or --t-end / --step: each count sizes an array,
 # so a larger one is refused (exit 2) before anything is allocated.
@@ -129,7 +130,6 @@ def cmd_synthesize(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    from .spectral import _factorisation_residual
     from .synthesis import verify_flow_identity
 
     matrix, diag, gs, digest = load_system_document(args.input)
@@ -140,10 +140,21 @@ def cmd_verify(args) -> dict:
     return build_report("verify", digest, {"tol": args.tol}, results)
 
 
+def _load_factored_system(path, tol: float):
+    """:func:`load_system_document`, refusing a file whose ``transform`` and
+    ``eigenvalues`` do not factor its ``matrix`` at ``tol``."""
+    matrix, diag, gs, digest = load_system_document(path)
+    defect = _factorisation_residual(matrix, diag)
+    if not defect <= tol:
+        raise PreconditionError(f"{path}: transform and eigenvalues do not factor the "
+                                f"matrix (residual {defect:.3g} above {tol:g})")
+    return matrix, diag, gs, digest
+
+
 def cmd_convexity(args) -> dict:
     from . import geometry
 
-    _, diag, gs, digest = load_system_document(args.input)
+    _, diag, gs, digest = _load_factored_system(args.input, args.tol)
     constants = geometry.convexity_constants(diag)
     lam = constants.geodesic_lambda
     results = {
@@ -182,7 +193,7 @@ def cmd_simulate(args) -> dict:
     if args.step is not None and args.t_end > MAX_COUNT * args.step:
         raise InputFormatError(
             f"--t-end / --step exceeds {MAX_COUNT} steps; raise --step")
-    matrix, diag, gs, digest = load_system_document(args.input)
+    matrix, diag, gs, digest = _load_factored_system(args.input, DEFAULT_TOL)
     states = [_parse_state(text, gs.dim) for text in args.x0]
     if len(states) > 2:
         raise InputFormatError("at most two --x0 vectors are supported")

@@ -94,8 +94,8 @@ class Diagonalisation:
 
     The one record of a factorised system: the transport metric, the
     synthesized system, the convexity constants and the exact propagator
-    all derive from it.  ``residual`` is the Frobenius defect of that
-    identity measured at construction time.  The SVD that validates
+    all derive from it.  ``residual`` is its :func:`_factorisation_residual`,
+    as certified or as loaded; no reader decides on it.  The SVD that validates
     ``transform`` also gives the read-only operator norms ``transform_norm``
     and ``inverse_norm`` (of ``inv(transform)``).  ``eigenvectors =
     inv(transform)``, whose columns are unit eigenvectors, is computed on
@@ -182,17 +182,19 @@ def _relative(defect: float, scale: float) -> float:
 
 
 def _factorisation_residual(a: np.ndarray, diag: Diagonalisation) -> float:
-    """Relative defect ``|T a - diag(w) T|_F / (|T|_2 |a|_F)`` of the factorisation
-    ``a = inv(T) diag(w) T`` that ``diag`` claims for ``a``.
-
-    ``T a - diag(w) T = T (a - inv(T) diag(w) T)``, so it needs no inverse.
-    It is read on the :func:`_unit_scale` copy of ``a``, with ``w`` scaled
-    alike, so ``(2**k a, 2**k w)`` reads the same; ``|T|_2`` is
-    ``diag.transform_norm``."""
-    unit, e = _unit_scale(a)
-    t = diag.transform
-    defect = np.linalg.norm(t @ unit - np.ldexp(diag.eigenvalues, -e)[:, None] * t)
-    return _relative(defect, diag.transform_norm * np.linalg.norm(unit))
+    """Relative defect ``|T a - diag(w) T|_F / (|T|_2 max(|a|_F, |w|_2))`` of
+    ``a = inv(T) diag(w) T`` as ``diag`` claims it: the one measure of that
+    identity, forward, converse and loaded.  It needs no inverse.  A true
+    factorisation has ``|w|_2 <= |a|_F`` (Schur), so the ``max`` is ``|a|_F``
+    there up to rounding; on any input the measure is at most 2.  ``T``, and
+    ``a`` with ``w``, are read scaled by the exponent of their largest entry,
+    so ``2**k`` changes no bit."""
+    t, f = _unit_scale(diag.transform)
+    e = int(np.frexp(max(np.max(np.abs(a)), np.max(np.abs(diag.eigenvalues))))[1])
+    unit, w = np.ldexp(a, -e), np.ldexp(diag.eigenvalues, -e)
+    defect = np.linalg.norm(t @ unit - w[:, None] * t)
+    scale = max(np.linalg.norm(unit), np.linalg.norm(w))
+    return _relative(defect, np.ldexp(diag.transform_norm, -f) * scale)
 
 
 def _symmetric_part(m: np.ndarray) -> np.ndarray:
@@ -209,17 +211,15 @@ def _is_symmetric(m: np.ndarray, tol: float) -> bool:
 def _certify_eigenbasis(a, values, vectors, tol: float | None = None) -> Diagonalisation:
     """The :class:`Diagonalisation` of the eigenbasis ``(values, vectors)`` of ``a``,
     for both directions of the construction: the basis in :func:`canonical_eigenbasis`
-    form and its one inverse as ``transform``.  The residual ``|a - vectors
-    diag(values) transform|_F`` is measured on the :func:`_unit_scale` copy and
-    kept in the units of ``a``; given ``tol``, one above ``tol`` times that
-    copy's norm, or nan, raises ``ValueError``."""
+    form and its one inverse as ``transform``, with the :func:`_factorisation_residual`
+    of ``a`` as ``residual``; given ``tol``, one above ``tol`` raises ``ValueError``."""
     values, vectors = canonical_eigenbasis(values, vectors)
-    transform = np.linalg.inv(vectors)
-    unit, e = _unit_scale(a)
-    residual = float(np.linalg.norm(np.ldexp(a - (vectors * values) @ transform, -e)))
-    if tol is not None and not residual <= tol * np.linalg.norm(unit):
-        raise ValueError(f"eigenbasis residual {residual:.3g} above {tol:g} |a|")
-    return Diagonalisation(transform, values, float(np.ldexp(residual, e)))
+    diag = Diagonalisation(np.linalg.inv(vectors), values)
+    residual = _factorisation_residual(a, diag)  # from the record's one SVD
+    if tol is not None and not residual <= tol:
+        raise ValueError(f"eigenbasis residual {residual:.3g} above {tol:g}")
+    object.__setattr__(diag, "residual", residual)
+    return diag
 
 
 def _decompose(a: np.ndarray, tol: float):
@@ -229,7 +229,7 @@ def _decompose(a: np.ndarray, tol: float):
     and decides ``Defective`` by the library's one conditioning rule,
     ``condition**2 * tol >= 1``: the synthesized Onsager operator has condition
     ``condition**2`` and is SPD at ``tol`` only below it.  So do a singular
-    eigenbasis and a residual above ``tol * norm(a)`` or nan."""
+    eigenbasis and a :func:`_factorisation_residual` above ``tol``."""
     a = as_square_matrix(a)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -277,8 +277,8 @@ def real_diagonalise(a, tol: float = DEFAULT_TOL) -> Diagonalisation:
     a : array_like
         Real square matrix.
     tol : float
-        Relative certification tolerance.  On success the Frobenius defect
-        of the factorisation is at most ``tol * norm(a)``.
+        Relative certification tolerance.  On success the relative defect
+        of the factorisation, :func:`_factorisation_residual`, is at most ``tol``.
 
     Raises
     ------

@@ -163,7 +163,9 @@ def recover_diagonalisation(gs: CanonicalGradientSystem, a,
     Requires ``a = -onsager @ hessian`` within ``tol`` (checked first) and a
     strictly SPD Onsager operator.  With ``s`` the symmetric square root of
     the Onsager operator, ``inv(s) @ a @ s`` is symmetric; its orthogonal
-    eigendecomposition yields the eigenvalues and the transform.
+    eigendecomposition yields the eigenvalues and the transform.  Its
+    ``residual`` is the one relative defect of the forward factorisation,
+    ``spectral._factorisation_residual`` of ``a``.
 
     Raises
     ------

@@ -164,6 +164,60 @@ def test_verify_fails_a_transform_that_does_not_factor_the_matrix(workdir, capsy
     assert results["passed"] is False
 
 
+@pytest.mark.parametrize("route", ["json", "sidecar"])
+@pytest.mark.parametrize("argv", [
+    ["convexity", "--out", "report.json"],
+    ["simulate", "--x0", "1,0,0", "--t-end", "3", "--out", "t.csv"],
+], ids=["convexity", "simulate"])
+def test_a_system_that_does_not_factor_its_matrix_exits_4_before_any_output(
+        workdir, capsys, argv, route):
+    """``convexity`` and ``simulate`` measure the file's factorisation as ``verify``
+    does and refuse it, read from the JSON or from a sidecar that matches it."""
+    tmp_path, write = workdir
+    system = tmp_path / "system.json"
+    run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", str(system))
+    if route == "json":
+        bad = _mutated_system(system, "bad.json", _change_eigenvalue)
+    else:
+        matrix, diag, gs, _ = load_system_document(system)
+        eigenvalues = diag.eigenvalues.copy()
+        eigenvalues[-1] = 2.0
+        bad = str(tmp_path / "bad.json")
+        save_system_document(bad, matrix, Diagonalisation(diag.transform, eigenvalues), gs)
+        assert Path(bad + ".cache").exists()
+    before = sorted(os.listdir(tmp_path))
+    command, *options = argv
+    out = str(tmp_path / options[-1])
+    code, report, err = run(capsys, command, bad, *options[:-1], out)
+    assert (code, report) == (4, None)
+    assert err.startswith(f"gradflow: precondition failed: {bad}: transform and "
+                          "eigenvalues do not factor the matrix (residual ")
+    assert sorted(os.listdir(tmp_path)) == before  # no --out file
+
+
+@pytest.mark.parametrize("fields, defect", [
+    ({"matrix": [[1e-300, 0.0], [0.0, 1e-300]], "hessian": [[-1e-300, 0.0], [0.0, -1e-300]],
+      "transform": [[1.0, 0.0], [0.0, 1.0]], "eigenvalues": [1e10, 1e10]}, 1.0),
+    ({"matrix": [[-1.0, 0.0], [0.0, -1.0]], "hessian": [[1.0, 0.0], [0.0, 1.0]],
+      "transform": [[1e300, 0.0], [0.0, 1e300]], "eigenvalues": [-1.0, -2.0]}, 0.2 ** 0.5),
+], ids=["eigenvalues-2^1030-times-the-matrix", "transform-1e300"])
+def test_verify_of_factors_beyond_the_matrix_scale_reads_a_finite_defect(
+        workdir, capsys, fields, defect):
+    """``T`` is read on its own scale, and ``a`` and ``w`` on the larger of theirs,
+    relative to ``max(|a|_F, |w|_2)``: nothing overflows, and the file fails."""
+    _, write = workdir
+    doc = {"schema_version": "1", "kind": "gradient-system", "dim": 2,
+           "onsager": {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]},
+           "equilibrium": [0.0, 0.0], "residual": 0.0, "eigenvalues": fields["eigenvalues"]}
+    for key in ("matrix", "hessian", "transform"):
+        doc[key] = {"dim": 2, "rows": fields[key]}
+    code, report, err = run(capsys, "verify", write("far.json", doc))
+    assert (code, err) == (0, "")
+    assert report["results"] == {"max_residual": 0.0,
+                                 "factorisation_residual": pytest.approx(defect),
+                                 "passed": False}
+
+
 @pytest.mark.parametrize("k", [-40, 40])
 def test_factorisation_residual_is_the_same_at_any_scale(workdir, capsys, k):
     """``A``, ``w`` and the hessian times ``2**k``: both residuals read the same bits."""

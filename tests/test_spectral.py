@@ -22,7 +22,8 @@ from gradflow import (
     validate_generator,
 )
 from gradflow.errors import NotDiagonalisableError, NotSPDError
-from gradflow.spectral import as_vector, canonical_eigenbasis
+from gradflow.spectral import (_certify_eigenbasis, _factorisation_residual, as_vector,
+                               canonical_eigenbasis)
 
 from conftest import make_diagonalisation, make_transform
 
@@ -105,6 +106,18 @@ def test_roundtrip_of_planted_systems(rng):
         assert np.allclose(np.sort(diag.eigenvalues),
                            np.sort(planted.eigenvalues),
                            atol=1e-9 * max(scale, 1.0))
+
+
+def test_eigenbasis_with_one_eigenvalue_off_is_refused(rng):
+    """The forward certificate is the one factorisation measure at ``tol``: the
+    planted eigenbasis passes, and one eigenvalue off by 1e-6 relative raises."""
+    planted = make_diagonalisation(rng, 6, min_gap=0.02)
+    matrix, values = planted.reconstruct(), planted.eigenvalues.copy()
+    diag = _certify_eigenbasis(matrix, values, planted.eigenvectors, tol=1e-9)
+    assert 0.0 < diag.residual == _factorisation_residual(matrix, diag) <= 1e-14
+    values[np.argmax(np.abs(values))] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="eigenbasis residual"):
+        _certify_eigenbasis(matrix, values, planted.eigenvectors, tol=1e-9)
 
 
 def test_symmetric_input_gives_orthogonal_transform(rng):
@@ -236,7 +249,7 @@ def test_verdicts_are_invariant_under_power_of_two_scaling(k):
             np.testing.assert_allclose(pi, stationary_distribution(validate_generator(a)),
                                        rtol=1e-12)
             assert is_reversible(gen, pi) is (name == "paper-reversible")
-            # the residual is taken on the unit-scaled copy: no inf, no 0
+            # the residual is relative and read on unit-scaled copies: no inf, no 0
             gs = synthesize_canonical(real_diagonalise(scaled))
-            residual = recover_diagonalisation(gs, scaled).residual * 2.0 ** -k
-            assert 0.0 < residual <= 1e-12 * np.linalg.norm(a), name
+            residual = recover_diagonalisation(gs, scaled).residual
+            assert 0.0 < residual <= 1e-12, name
