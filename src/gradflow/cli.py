@@ -123,7 +123,7 @@ def cmd_synthesize(args) -> dict:
     results = {
         "out": args.out,
         "flow_residual": residual,
-        "spd": True,  # real_diagonalise refuses cond(t)**2 * tol >= 1, where is_spd fails
+        "spd": True,  # inspect_spectrum refuses cond(t)**2 * tol >= 1, where is_spd fails
         **asdict(constants),
     }
     return build_report("synthesize", digest, {"tol": args.tol}, results)

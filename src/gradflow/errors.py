@@ -40,7 +40,8 @@ class InputDimensionError(GradFlowError, ValueError):
 
 
 class NotDiagonalisableError(PreconditionError):
-    """Matrix is not real diagonalisable; carries the diagnostic report."""
+    """Matrix is not real diagonalisable; ``report`` is the refusing
+    :class:`~gradflow.spectral.SpectralReport`, whose ``diagonalisation`` is ``None``."""
 
     def __init__(self, report):
         self.report = report

@@ -75,20 +75,6 @@ class FailureKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SpectralReport:
-    """Diagnostic summary of one diagonalisability test.
-
-    ``condition`` is the conditioning of the eigenvector basis and is only
-    set when the matrix is real diagonalisable.
-    """
-
-    eigenvalues: np.ndarray
-    real_diagonalisable: bool
-    failure_kind: FailureKind
-    condition: float | None = None
-
-
-@dataclass(frozen=True)
 class Diagonalisation:
     """Certified factorisation ``a = inv(transform) @ diag(eigenvalues) @ transform``.
 
@@ -134,6 +120,25 @@ class Diagonalisation:
     def reconstruct(self) -> np.ndarray:
         """Return ``inv(transform) @ diag(eigenvalues) @ transform``."""
         return (self.eigenvectors * self.eigenvalues) @ self.transform
+
+
+@dataclass(frozen=True)
+class SpectralReport:
+    """The verdict of :func:`inspect_spectrum`, with its certificate.
+
+    ``diagonalisation`` is the certified :class:`Diagonalisation`, or ``None``
+    when the test fails; ``real_diagonalisable`` is read off it.  ``condition``
+    is the conditioning of the eigenvector basis, set on success only.
+    """
+
+    eigenvalues: np.ndarray
+    failure_kind: FailureKind
+    condition: float | None = None
+    diagonalisation: Diagonalisation | None = None
+
+    @property
+    def real_diagonalisable(self) -> bool:
+        return self.diagonalisation is not None
 
 
 def canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray):
@@ -208,28 +213,28 @@ def _is_symmetric(m: np.ndarray, tol: float) -> bool:
     return bool(np.linalg.norm(u - u.T) <= tol * np.linalg.norm(u))
 
 
-def _certify_eigenbasis(a, values, vectors, tol: float | None = None) -> Diagonalisation:
+def _certify_eigenbasis(a, values, vectors) -> Diagonalisation:
     """The :class:`Diagonalisation` of the eigenbasis ``(values, vectors)`` of ``a``,
     for both directions of the construction: the basis in :func:`canonical_eigenbasis`
     form and its one inverse as ``transform``, with the :func:`_factorisation_residual`
-    of ``a`` as ``residual``; given ``tol``, one above ``tol`` raises ``ValueError``."""
+    of ``a`` as ``residual``.  It decides nothing: :func:`inspect_spectrum` does."""
     values, vectors = canonical_eigenbasis(values, vectors)
     diag = Diagonalisation(np.linalg.inv(vectors), values)
-    residual = _factorisation_residual(a, diag)  # from the record's one SVD
-    if tol is not None and not residual <= tol:
-        raise ValueError(f"eigenbasis residual {residual:.3g} above {tol:g}")
-    object.__setattr__(diag, "residual", residual)
+    object.__setattr__(diag, "residual", _factorisation_residual(a, diag))  # from its one SVD
     return diag
 
 
-def _decompose(a: np.ndarray, tol: float):
-    """The report, and the certified :class:`Diagonalisation` or ``None``.
+def inspect_spectrum(a, tol: float = DEFAULT_TOL) -> SpectralReport:
+    """Decide whether ``a`` is real diagonalisable: the one home of the verdict.
 
-    The record's one SVD of ``transform = inv(eigenbasis)`` gives ``condition``
-    and decides ``Defective`` by the library's one conditioning rule,
-    ``condition**2 * tol >= 1``: the synthesized Onsager operator has condition
-    ``condition**2`` and is SPD at ``tol`` only below it.  So do a singular
-    eigenbasis and a :func:`_factorisation_residual` above ``tol``."""
+    ``ComplexSpectrum``: some eigenvalue has imaginary part above ``tol``
+    times ``|a|_F``.  ``Defective``: the eigenbasis is singular, its
+    :func:`_factorisation_residual` exceeds ``tol`` (or is nan), or the
+    record's one SVD of ``transform = inv(eigenbasis)`` gives
+    ``condition**2 * tol >= 1``, the library's one conditioning rule: the
+    synthesized Onsager operator has condition ``condition**2`` and is SPD at
+    ``tol`` only below it.  Else the report carries the certified record.
+    """
     a = as_square_matrix(a)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -237,8 +242,8 @@ def _decompose(a: np.ndarray, tol: float):
     unit, e = _unit_scale(a)
     scale = float(np.linalg.norm(unit))
     if scale == 0.0:  # every basis diagonalises 0: keep the identity
-        report = SpectralReport(np.zeros(dim, dtype=complex), True, FailureKind.NONE, 1.0)
-        return report, Diagonalisation(np.eye(dim), np.zeros(dim))
+        return SpectralReport(np.zeros(dim, dtype=complex), FailureKind.NONE, 1.0,
+                              Diagonalisation(np.eye(dim), np.zeros(dim)))
     if _is_symmetric(unit, tol):
         # Symmetric input: take the orthogonal eigenbasis so the transform
         # conditioning is 1 up to rounding.
@@ -248,29 +253,22 @@ def _decompose(a: np.ndarray, tol: float):
     if not np.all(np.isfinite(spectrum)):
         raise np.linalg.LinAlgError("eigenvalues exceed the double range")
     if np.ldexp(np.max(np.abs(spectrum.imag)), -e) > tol * scale:
-        return SpectralReport(np.sort_complex(spectrum), False,
-                              FailureKind.COMPLEX_SPECTRUM), None
-    defective = SpectralReport(np.sort_complex(spectrum), False, FailureKind.DEFECTIVE)
+        return SpectralReport(np.sort_complex(spectrum), FailureKind.COMPLEX_SPECTRUM)
+    defective = SpectralReport(np.sort_complex(spectrum), FailureKind.DEFECTIVE)
     with np.errstate(all="ignore"):  # an overflow shows as a failed test below
         try:
-            diag = _certify_eigenbasis(a, *_realify_conjugate_pairs(spectrum, vectors), tol)
-        except (np.linalg.LinAlgError, ValueError):  # a bad basis or residual
-            return defective, None
+            diag = _certify_eigenbasis(a, *_realify_conjugate_pairs(spectrum, vectors))
+        except (np.linalg.LinAlgError, ValueError):  # a singular basis
+            return defective
     condition = diag.transform_norm * diag.inverse_norm
-    if condition * condition * tol >= 1.0:
-        return defective, None
-    return (SpectralReport(diag.eigenvalues.astype(complex), True, FailureKind.NONE,
-                           condition), diag)
-
-
-def inspect_spectrum(a, tol: float = DEFAULT_TOL) -> SpectralReport:
-    """Classify ``a``: real diagonalisable, complex spectrum, or defective."""
-    report, _ = _decompose(a, tol)
-    return report
+    if not diag.residual <= tol or condition * condition * tol >= 1.0:  # nan too
+        return defective
+    return SpectralReport(diag.eigenvalues.astype(complex), FailureKind.NONE, condition, diag)
 
 
 def real_diagonalise(a, tol: float = DEFAULT_TOL) -> Diagonalisation:
-    """Factor ``a = inv(t) @ diag(w) @ t`` with real ``w`` and invertible ``t``.
+    """Factor ``a = inv(t) @ diag(w) @ t`` with real ``w`` and invertible ``t``:
+    the ``diagonalisation`` of :func:`inspect_spectrum`.
 
     Parameters
     ----------
@@ -283,17 +281,14 @@ def real_diagonalise(a, tol: float = DEFAULT_TOL) -> Diagonalisation:
     Raises
     ------
     NotDiagonalisableError
-        If some eigenvalue has imaginary part above ``tol``-scale
-        (ComplexSpectrum), or the eigenvector basis has condition at least
-        ``tol**-0.5``, where the synthesized Onsager operator stops being SPD
-        at ``tol`` (Defective).  The exception carries the report.
+        If :func:`inspect_spectrum` refuses ``a``; it carries that report.
     numpy.linalg.LinAlgError
         If LAPACK fails or an eigenvalue exceeds the double range.
     """
-    report, diag = _decompose(a, tol)
-    if diag is None:
+    report = inspect_spectrum(a, tol)
+    if report.diagonalisation is None:
         raise NotDiagonalisableError(report)
-    return diag
+    return report.diagonalisation
 
 
 def _spd_eigh(k, tol: float):

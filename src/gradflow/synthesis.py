@@ -101,8 +101,9 @@ class GeneralisedSystemProbe:
     ``energy_grad`` maps a state to the energy gradient; ``dissipation_grad``
     maps (state, force) to the velocity produced by the dissipation
     potential.  Analytic Hessians may be supplied to skip finite
-    differencing.  Construction verifies that zero force produces zero
-    velocity at the equilibrium and at one nearby shifted point.
+    differencing.  Construction verifies that zero force produces a velocity
+    below ``1e-8 s`` at the equilibrium and at it shifted by ``0.01 s``, with
+    ``s = max|equilibrium|`` (1 at 0).
     """
 
     dim: int
@@ -123,11 +124,10 @@ class GeneralisedSystemProbe:
                 if m.shape[0] != self.dim:
                     raise ValueError(f"{name} must be {self.dim} x {self.dim}")
                 object.__setattr__(self, name, m)
-        zero = np.zeros(self.dim)
-        shift = 0.01 * (1.0 + np.max(np.abs(eq)))
-        for point in (eq, eq + shift):
-            rest = as_vector(self.dissipation_grad(point, zero), self.dim)
-            if np.linalg.norm(rest) > 1e-8 * (1.0 + np.linalg.norm(point)):
+        scale = float(np.max(np.abs(eq))) or 1.0  # of states and velocities near eq
+        for point in (eq, eq + 0.01 * scale):
+            rest = as_vector(self.dissipation_grad(point, np.zeros(self.dim)), self.dim)
+            if np.linalg.norm(rest) > 1e-8 * scale:
                 raise ValueError("dissipation gradient must vanish at zero force")
 
 
@@ -210,7 +210,8 @@ def linearise_generalised(probe: GeneralisedSystemProbe, step: float | None = No
     from the probe when supplied and otherwise by central finite differences
     with ``step`` (default ``1e-5 * max|equilibrium|``, ``1e-5`` at 0).  Both matrices
     are symmetrized and validated by :class:`CanonicalGradientSystem`;
-    ``tol`` bounds only the rest check.
+    ``tol`` bounds only the rest check, ``|velocity| <= tol * max|equilibrium|``
+    (``tol`` at 0).
 
     Raises :class:`NotCriticalError` when the equilibrium does not rest
     (the dissipation gradient at minus the energy gradient is nonzero) and
@@ -219,14 +220,15 @@ def linearise_generalised(probe: GeneralisedSystemProbe, step: float | None = No
     dissipation potential.
     """
     eq = probe.equilibrium
+    scale = float(np.max(np.abs(eq))) or 1.0
     if step is None:
-        step = 1e-5 * (float(np.max(np.abs(eq))) or 1.0)
+        step = 1e-5 * scale
     if step <= 0.0:
         raise ValueError("finite-difference step must be positive")
 
     grad0 = as_vector(probe.energy_grad(eq), probe.dim)
     velocity0 = as_vector(probe.dissipation_grad(eq, -grad0), probe.dim)
-    if np.linalg.norm(velocity0) > tol * (1.0 + np.linalg.norm(grad0)):
+    if np.linalg.norm(velocity0) > tol * scale:
         raise NotCriticalError("flow does not rest at the claimed equilibrium")
 
     if probe.dissipation_hessian is not None:

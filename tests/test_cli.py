@@ -987,6 +987,27 @@ def test_factorisation_counts_per_command(workdir, capsys, linalg_counts,
     assert dict(linalg_counts) == expected
 
 
+@pytest.mark.parametrize("rows, expected", [
+    ([[0.0, -1.0], [1.0, 0.0]], {"eig": 1}),
+    ([[0.0, 1.0], [0.0, 0.0]], {"eig": 1, "inv": 1, "svd": 1}),
+    ([[-13.0, 9.0], [-16.0, 11.0]], {"eig": 1, "inv": 1, "svd": 1}),
+    (np.diag(np.ones(2), 1).tolist(), {"eig": 1, "inv": 1}),
+    (np.zeros((3, 3)).tolist(), {"svd": 1}),
+], ids=["rotation", "jordan-2", "rounded-jordan", "jordan-3", "zero"])
+def test_factorisation_counts_of_analyze_per_branch(workdir, capsys, linalg_counts,
+                                                   rows, expected):
+    """What each branch of the verdict factorises: a complex spectrum stops after
+    ``eig``; a singular 3x3 Jordan eigenbasis stops at its ``inv``; a residual or
+    conditioning refusal has run the record's one SVD; ``a = 0`` takes the
+    identity, whose record still runs its SVD."""
+    _, write = workdir
+    matrix = write("a.json", {"dim": len(rows), "rows": rows})
+    linalg_counts.clear()
+    assert main(["analyze", matrix]) == 0
+    capsys.readouterr()
+    assert dict(linalg_counts) == expected
+
+
 FUZZ_ARGV = st.one_of(
     st.sampled_from([["analyze", "{matrix}"],
                      ["synthesize", "{matrix}", "--out", "{system}"],

@@ -109,15 +109,43 @@ def test_roundtrip_of_planted_systems(rng):
 
 
 def test_eigenbasis_with_one_eigenvalue_off_is_refused(rng):
-    """The forward certificate is the one factorisation measure at ``tol``: the
-    planted eigenbasis passes, and one eigenvalue off by 1e-6 relative raises."""
+    """The certifier reads the one factorisation measure, and ``inspect_spectrum``
+    refuses it above ``tol``: the planted eigenbasis reads at most 1e-14, and
+    one eigenvalue off by 1e-6 relative reads above ``tol = 1e-9``."""
     planted = make_diagonalisation(rng, 6, min_gap=0.02)
     matrix, values = planted.reconstruct(), planted.eigenvalues.copy()
-    diag = _certify_eigenbasis(matrix, values, planted.eigenvectors, tol=1e-9)
+    diag = _certify_eigenbasis(matrix, values, planted.eigenvectors)
     assert 0.0 < diag.residual == _factorisation_residual(matrix, diag) <= 1e-14
     values[np.argmax(np.abs(values))] *= 1.0 + 1e-6
-    with pytest.raises(ValueError, match="eigenbasis residual"):
-        _certify_eigenbasis(matrix, values, planted.eigenvectors, tol=1e-9)
+    assert _certify_eigenbasis(matrix, values, planted.eigenvectors).residual > 1e-9
+
+
+SMALL_INTEGER_MATRICES = st.integers(1, 4).flatmap(
+    lambda dim: st.lists(st.integers(-3, 3), min_size=dim * dim, max_size=dim * dim)
+    .map(lambda entries: np.array(entries, dtype=float).reshape(dim, dim)))
+
+
+@given(SMALL_INTEGER_MATRICES)
+@example(np.array([[-13.0, 9.0], [-16.0, 11.0]]))  # a Jordan block split by rounding
+@example(np.diag(np.ones(2), 1))  # its eigenbasis is exactly singular
+@example(np.zeros((3, 3)))
+def test_real_diagonalise_returns_the_record_of_the_verdict(a):
+    """One verdict: ``real_diagonalise`` succeeds exactly when the report of
+    :func:`inspect_spectrum` carries a diagonalisation, and returns that record
+    bit for bit; a refusal carries a report without one."""
+    report = inspect_spectrum(a)
+    assert report.real_diagonalisable is (report.diagonalisation is not None)
+    try:
+        diag = real_diagonalise(a)
+    except NotDiagonalisableError as exc:
+        assert report.diagonalisation is None and exc.report.diagonalisation is None
+        assert exc.report.failure_kind is report.failure_kind is not FailureKind.NONE
+        return
+    kept = report.diagonalisation
+    assert kept is not None and report.failure_kind is FailureKind.NONE
+    assert np.array_equal(diag.transform, kept.transform)
+    assert np.array_equal(diag.eigenvalues, kept.eigenvalues)
+    assert diag.residual == kept.residual <= 1e-9
 
 
 def test_symmetric_input_gives_orthogonal_transform(rng):

@@ -197,6 +197,49 @@ def test_linearise_default_step_follows_the_equilibrium_scale(k):
     assert np.allclose(lin.onsager / eq, np.eye(2), rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("k", [0, -40])
+def test_probe_shift_follows_the_equilibrium_scale(k):
+    """An exclusion mobility ``x (c - x) / c``, defined only for ``0 < x < c``, at
+    ``c = 2**k`` and ``eq = c (1/4, 1/2)``: the probe's shifted point scales
+    with ``eq``, so it stays in the domain as ``eq`` shrinks."""
+    cap = np.ldexp(1.0, k)
+    eq = cap * np.array([0.25, 0.5])
+
+    def dissipation_grad(x, force):
+        if not np.all((x > 0.0) & (x < cap)):
+            raise ValueError("occupation outside (0, c)")
+        return x * (cap - x) / cap * np.asarray(force)
+
+    probe = GeneralisedSystemProbe(2, eq, energy_grad=lambda x: (x - eq) / cap,
+                                   dissipation_grad=dissipation_grad)
+    lin = linearise_generalised(probe)
+    assert np.allclose(lin.onsager, np.diag(eq * (cap - eq) / cap), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [0, -40])
+def test_probe_refuses_a_rest_velocity_at_every_scale(k):
+    """Zero force drifts every state by ``1e-3 eq`` per unit time, ``eq = 2**k (1, 2)``:
+    a rest velocity of 1e-3 relative to ``eq``, refused at every scale."""
+    eq = np.ldexp(np.array([1.0, 2.0]), k)
+    with pytest.raises(ValueError, match="must vanish at zero force"):
+        GeneralisedSystemProbe(
+            2, eq, energy_grad=lambda x: np.asarray(x, dtype=float),
+            dissipation_grad=lambda x, force: np.asarray(force) + 1e-3 * eq)
+
+
+@pytest.mark.parametrize("k", [0, -40])
+def test_linearise_refuses_an_equilibrium_off_by_a_relative_1e_3(k):
+    """The energy is critical at ``0.999 eq``, not at ``eq = 2**k (1, 2)``: the
+    velocity there is ``1e-3 eq``, refused at every scale of ``eq``."""
+    eq = np.ldexp(np.array([1.0, 2.0]), k)
+    probe = GeneralisedSystemProbe(
+        2, eq,
+        energy_grad=lambda x: np.asarray(x) - 0.999 * eq,
+        dissipation_grad=lambda x, force: np.asarray(force, dtype=float))
+    with pytest.raises(NotCriticalError):
+        linearise_generalised(probe)
+
+
 def test_linearise_rejects_non_equilibrium():
     probe = GeneralisedSystemProbe(
         2, np.array([1.0, 0.0]),
