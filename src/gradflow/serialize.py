@@ -6,13 +6,13 @@ refused without it.  Synthesized systems bundle every object in one JSON
 document, read by key, with the fields in ``_SYSTEM_FIELDS`` order: the
 blocks ``matrix``, ``onsager``, ``hessian`` and ``transform``, the vectors
 ``eigenvalues`` and ``equilibrium``, and the number ``residual``.
-Trajectories are CSV with header ``t,x1,...,xd``.  All floating-point
-output is rendered with 17 significant digits so doubles round-trip
-exactly, and reports are emitted deterministically (stable key order, no
-locale dependence).  Every text file goes out through :func:`write_text`,
-which encodes, hashes and writes it a piece at a time to a temporary file
-that replaces the target only once it is whole; the report on stdout goes
-out through :func:`write_stdout`, which flushes it.
+Trajectories are CSV with header ``t,x1,...,xd``.  orjson spells every
+float in the shortest digits that read back to the same double, a row as
+``[a,b,c]``; output is deterministic (stable key order, no locale
+dependence) at a fixed orjson version and BLAS thread count.  Every text
+file goes out through :func:`write_text`, which encodes, hashes and writes
+it a piece at a time to a temporary file that replaces the target once it
+is whole; :func:`write_stdout` writes and flushes the report on stdout.
 
 Beside a system file ``sys.json`` gradflow also writes a binary sidecar
 ``sys.json.cache``: one header line ``gradflow-system-cache <sha256> <d>``,
@@ -24,8 +24,8 @@ truncated or foreign sidecar is ignored and a JSON file copied without one
 still loads.  The JSON stays the product: it is what ``inputs_digest``
 names, and deleting the sidecar is always safe.  Both routes build the
 records through the same validation, and the sidecar holds the same doubles
-the JSON spells out (``-0`` reads back as ``+0`` on either route), so no
-result depends on which route ran.
+the JSON spells out (a negative zero reads back as ``+0`` on either
+route), so no result depends on which route ran.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import InputDimensionError, InputFormatError, OutputError, PreconditionError
 
@@ -70,21 +71,26 @@ REPORT_SCHEMA = {
 _INDENT = "  "
 
 
-def _float_row(row, sep: str) -> str:
-    """The entries of a 1-D float array at 17 significant digits, ``sep``-joined."""
-    return sep.join(["%.17g"] * len(row)) % tuple(row)
+def _spell(values) -> str:
+    """The one float writer: a float or a 1-D float array as ``a,b,c``, each
+    in the shortest digits that read back to the same double.  orjson writes
+    nan and infinities as ``null``, so they raise ``ValueError`` here."""
+    row = np.ascontiguousarray(values, dtype=np.float64)  # 1-D at least, as orjson needs
+    if not np.isfinite(row).all():
+        raise ValueError("non-finite float in output")
+    return orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
 
 
 def json_pieces(value, depth: int = 0):
-    """Deterministic JSON with floats at 17 significant digits, as a stream
+    """Deterministic JSON with floats spelled by :func:`_spell`, as a stream
     of ``str`` pieces, so a large document need never exist whole.
 
-    The standard encoder cannot hook float formatting, so this walks the
-    structure directly.  Dict key order is preserved (callers build reports
+    This walks the structure directly, so that every float goes through
+    the one writer.  Dict key order is preserved (callers build reports
     with a fixed field order); only JSON-representable types plus numpy
     scalars and arrays are accepted.  Objects and lists put one item per
     line, indented by two spaces per level.  A float ``ndarray`` is
-    rendered a row at a time: a 1-D array is one line ``[a, b, c]``, and an
+    rendered a row at a time: a 1-D array is one line ``[a,b,c]``, and an
     n-D array puts each innermost row on its own line.  Non-finite floats
     raise ``ValueError``.
     """
@@ -95,19 +101,13 @@ def json_pieces(value, depth: int = 0):
     elif isinstance(value, (int, np.integer)):
         yield str(int(value))
     elif isinstance(value, (float, np.floating)):
-        x = float(value)
-        if not np.isfinite(x):
-            raise ValueError("non-finite float in JSON document")
-        yield format(x, ".17g")
+        yield _spell(value)
     elif isinstance(value, str):
         yield json.dumps(value)
+    elif isinstance(value, np.ndarray) and value.ndim > 1:
+        yield from json_pieces(list(value), depth)
     elif isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim:
-        if not np.isfinite(value).all():
-            raise ValueError("non-finite float in JSON document")
-        if value.ndim == 1:
-            yield "[" + _float_row(value, ", ") + "]"
-        else:
-            yield from json_pieces(list(value), depth)
+        yield "[" + _spell(value) + "]"
     elif isinstance(value, np.ndarray):
         yield from json_pieces(value.tolist(), depth)
     elif isinstance(value, (list, tuple, dict)):
@@ -329,9 +329,8 @@ def _read_sidecar(path, digest: str):
     body = np.frombuffer(data, dtype="<f8", offset=end + 1)
     if not np.all(np.isfinite(body)):
         return None
-    # + 0.0: fresh arrays, and -0.0 becomes the +0.0 that the JSON's "-0" reads as
     parts = np.split(body, np.cumsum(sizes)[:-1])
-    return {name: part.reshape((dim,) * rank) + 0.0
+    return {name: part.reshape((dim,) * rank)
             for (name, rank), part in zip(_SYSTEM_FIELDS, parts)}
 
 
@@ -382,6 +381,7 @@ def load_system_document(path):
     if fields is None:
         fields = _parse_system(data, path)
     del data
+    fields = {name: array + 0.0 for name, array in fields.items()}  # fresh; -0.0 as +0.0
     try:
         diag = Diagonalisation(fields["transform"], fields["eigenvalues"],
                                float(fields["residual"]))
@@ -393,11 +393,11 @@ def load_system_document(path):
 
 
 def write_trajectory_csv(path, trajectory) -> None:
-    """CSV with header ``t,x1,...,xd``, one row per node, 17 significant digits."""
+    """CSV with header ``t,x1,...,xd``, one row per node, spelled by :func:`_spell`."""
     dim = trajectory.states.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(dim)) + "\n"
     table = np.column_stack((trajectory.times, trajectory.states))
-    write_text(path, chain([header], (_float_row(row, ",") + "\n" for row in table)))
+    write_text(path, chain([header], (_spell(row) + "\n" for row in table)))
 
 
 def build_report(command: str, inputs_digest: str, options: dict,

@@ -60,6 +60,54 @@ def test_non_finite_entry_in_matrix_raises(bad):
         render_json({"rows": matrix})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_state_in_csv_raises_and_leaves_no_file(tmp_path, bad):
+    """The CSV rows go through the same finite check as the JSON: the bad
+    value sits in the last row, after earlier rows went to the temporary file."""
+    states = np.ones((3, 2))
+    states[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        write_trajectory_csv(tmp_path / "t.csv",
+                             SimpleNamespace(times=np.arange(3.0), states=states))
+    assert list(tmp_path.iterdir()) == []
+
+
+_BLOCK = np.array([[0.1, -0.0, 1e22], [5e-324, -1.7e308, 2.0 / 3.0]])
+LAYOUTS = {
+    "transposed": _BLOCK.T,
+    "fortran-ordered": np.asfortranarray(_BLOCK),
+    "strided-column": _BLOCK[:, 1],
+    "float32": _BLOCK[0].astype(np.float32),
+    "0-d": np.array(2.0 / 3.0),
+    "empty": np.empty((0, 3)),
+}
+
+
+@pytest.mark.parametrize("array", LAYOUTS.values(), ids=LAYOUTS)
+def test_every_array_layout_round_trips_bit_for_bit(tmp_path, array):
+    """orjson takes only C-contiguous float64 rows; LAPACK hands back
+    Fortran-ordered blocks, and callers pass views and other float types."""
+    loaded = json.loads(render_json({"a": array}), parse_int=float)["a"]
+    assert same_bits(loaded, array)
+
+    states = np.atleast_2d(array)
+    trajectory = SimpleNamespace(times=states[:, 0], states=states)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, trajectory)
+    rows = [[float(v) for v in line.split(",")]
+            for line in path.read_text().splitlines()[1:]]
+    assert same_bits([row[0] for row in rows], trajectory.times)
+    assert same_bits([row[1:] for row in rows], states)
+
+
+@given(DOUBLES)
+def test_a_float_is_spelled_alike_alone_and_in_a_row(x):
+    alone = render_json(x)
+    assert render_json(np.float64(x)) == alone
+    assert render_json(np.array([x, x])) == f"[{alone},{alone}]"
+    assert float(alone) == x and np.signbit(float(alone)) == np.signbit(x)
+
+
 @pytest.mark.parametrize("value", [
     [],
     {},
@@ -154,7 +202,7 @@ def _outputs(capsys, argv):
                          if '"generated_at"' not in line)
 
 
-# The README's three-state matrix with a -0.0, which the system file spells "-0".
+# The README's three-state matrix with a -0.0, which the system file spells "-0.0".
 THREE_STATE_ROWS = [[-2.0, -0.0, 2.0], [1.0, -3.0, 2.0], [1.0, 3.0, -4.0]]
 
 
@@ -201,7 +249,7 @@ def test_sidecar_body_is_the_fields_in_table_order(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rows", [
-    THREE_STATE_ROWS,  # the JSON route reads its "-0" as +0.0
+    THREE_STATE_ROWS,  # the loader reads its "-0.0" as +0.0 on both routes
     make_diagonalisation(np.random.default_rng(5), 12, cond=50.0).reconstruct().tolist(),
 ], ids=["three-state-negative-zero", "random-d12"])
 def test_sidecar_and_json_routes_agree(tmp_path, capsys, rows):
@@ -246,6 +294,21 @@ def _with_digest(sidecar: bytes, system) -> bytes:
     return b" ".join((magic, digest, dim)) + b"\n" + body
 
 
+@pytest.mark.parametrize("spelling", ["-0.0", "-0"], ids=["shortest", "17-digit"])
+def test_negative_zero_loads_as_positive_zero_on_both_routes(tmp_path, capsys, spelling):
+    """A system file spells the -0.0 of its matrix as "-0.0"; files written
+    at 17 significant digits spell it "-0".  The sidecar keeps its sign bit."""
+    system = _synthesize(tmp_path, THREE_STATE_ROWS)
+    capsys.readouterr()
+    system.write_text(system.read_text().replace("[-2.0,-0.0,2.0]", f"[-2.0,{spelling},2.0]"))
+    _sidecar(system).write_bytes(_with_digest(_sidecar(system).read_bytes(), system))
+    for route in ("sidecar", "json"):
+        if route == "json":
+            _sidecar(system).unlink()
+        matrix = load_system_document(system)[0]
+        assert matrix[0, 1] == 0.0 and not np.signbit(matrix[0, 1]), route
+
+
 def test_sidecar_carrying_the_json_digest_is_trusted(tmp_path, capsys):
     """The trust rule: a sidecar counts when it names the digest of the JSON
     beside it, so it is read in place of that JSON."""
@@ -271,8 +334,8 @@ def test_bad_sidecar_is_ignored(tmp_path, capsys, damage):
     poisoned = _with_digest(_sidecar(other).read_bytes(), system)
     if damage == "stale":  # one digit of the JSON edited after the sidecar was written
         text = system.read_text()
-        assert text.count("[-2, -0, 2]") == 1
-        system.write_text(text.replace("[-2, -0, 2]", "[-3, -0, 2]"))
+        assert text.count("[-2.0,-0.0,2.0]") == 1
+        system.write_text(text.replace("[-2.0,-0.0,2.0]", "[-3.0,-0.0,2.0]"))
     elif damage == "truncated":
         _sidecar(system).write_bytes(poisoned[:-8])
     elif damage == "wrong-size":
