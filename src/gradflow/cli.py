@@ -4,10 +4,10 @@ Exit code 0: the command completed (findings such as "not diagonalisable"
 are results, not errors).  A failure exits with the code and label of its
 class in :mod:`gradflow.errors`; numpy's linear-algebra and floating-point
 errors and ``MemoryError`` count as numeric failures (5).  Reports are
-printed to stdout as deterministic JSON; ``GRADFLOW_LOG=debug`` prints the
-command name on stderr, and no other level prints anything.
-:func:`main` returns the exit code; :func:`run`, the process entry, ends
-the process as soon as the output is flushed.
+printed to stdout as deterministic JSON; a report's ``options`` holds only
+the settings that took effect.  :func:`main` returns the exit code;
+:func:`run`, the process entry, ends the process as soon as the output is
+flushed.
 """
 
 from __future__ import annotations
@@ -225,8 +225,9 @@ def cmd_simulate(args) -> dict:
             gaps, gaps[0], lam, trajectory.times)
     # written last, so a failed run leaves no complete-looking trajectory
     write_trajectory_csv(args.out, trajectory)
-    options = {"method": args.method.value, "t_end": args.t_end,
-               "step": args.step, "nodes": args.nodes}
+    options = {"method": args.method.value, "t_end": args.t_end, "step": args.step}
+    if args.step is None:  # only the exact method's node grid reads --nodes
+        options["nodes"] = args.nodes
     return build_report("simulate", digest, options, results, caught)
 
 
@@ -234,8 +235,7 @@ def cmd_markov(args) -> dict:
     from . import markov
 
     matrix, digest = load_generator_document(args.input)
-    options = {"subcommand": args.subcommand, "tol": args.tol,
-               "samples": args.samples, "seed": args.seed}
+    options = {"subcommand": args.subcommand, "tol": args.tol}
 
     if args.subcommand == "validate":
         try:
@@ -256,6 +256,7 @@ def cmd_markov(args) -> dict:
                    "reversible": markov.is_reversible(gen, pi, args.tol),
                    "distribution": pi}
     else:  # entropic-verify
+        options.update(samples=args.samples, seed=args.seed)
         structure = markov.EntropicStructure.from_generator(gen, args.tol)
         report = markov.verify_entropic_flow(gen, structure,
                                              samples=args.samples,
@@ -338,31 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="generator JSON file (transposed convention)")
     p.add_argument("subcommand", choices=["validate", "stationary",
                                           "reversible", "entropic-verify"])
-    common(p, seed=("number of sampled checks (default 1000)",
-                    "sampling seed, echoed in the report (default 0)"))
+    common(p, seed=("entropic-verify's number of sampled checks (default 1000)",
+                    "entropic-verify's sampling seed, echoed in its report (default 0)"))
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(handler=cmd_markov)
     return parser
 
 
-def _log_command(command: str) -> None:
-    """Diagnostics on stderr at the GRADFLOW_LOG level; ``logging`` loads only then."""
-    level_name = os.environ.get("GRADFLOW_LOG", "").upper()
-    if not level_name:
-        return
-    import logging
-
-    level = getattr(logging, level_name, None)
-    if isinstance(level, int):
-        logging.basicConfig(level=level, stream=sys.stderr,
-                            format="%(name)s %(levelname)s %(message)s")
-        logging.getLogger("gradflow").debug("command %s", command)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _log_command(args.command)
         with np.errstate(divide="raise", over="raise", invalid="raise"):  # so exit 5
             text = render_json(args.handler(args))
         out_report = getattr(args, "out", None)

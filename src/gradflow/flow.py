@@ -55,10 +55,6 @@ class Trajectory:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "method", Integrator(self.method))
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
 
 def exact_flow(diag: Diagonalisation, x0, t: float) -> np.ndarray:
     """Propagate ``x0`` by time ``t`` with the spectral propagator.

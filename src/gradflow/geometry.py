@@ -147,13 +147,11 @@ def check_contraction(diag: Diagonalisation, geodesic_lambda: float,
     return contraction_defect(growth, 1.0, geodesic_lambda, times)
 
 
-def essential_range_check(diag: Diagonalisation, spectrum_bound: float = 0.0,
-                          tol: float = DEFAULT_TOL) -> bool:
-    """True iff every eigenvalue is at most ``spectrum_bound`` plus ``tol``
-    times the larger of ``|spectrum_bound|`` and ``max|w|``.
+def essential_range_check(diag: Diagonalisation, tol: float = DEFAULT_TOL) -> bool:
+    """True iff every eigenvalue is at most ``tol * max|w|``.
 
-    With the bound 0 this encodes the finite-measure conclusion that a
-    non-positive spectrum forces non-positive multipliers everywhere.
+    This encodes the finite-measure conclusion that a non-positive spectrum
+    forces non-positive multipliers everywhere.
     """
-    scale = max(abs(spectrum_bound), float(np.max(np.abs(diag.eigenvalues))))
-    return bool(np.max(diag.eigenvalues) <= spectrum_bound + tol * scale)
+    w = diag.eigenvalues
+    return bool(np.max(w) <= tol * float(np.max(np.abs(w))))

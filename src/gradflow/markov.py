@@ -228,7 +228,7 @@ def entropic_probe(structure: EntropicStructure) -> GeneralisedSystemProbe:
     def dissipation_grad(x, force):
         return entropic_onsager(structure, x) @ np.asarray(force, dtype=float)
 
-    return GeneralisedSystemProbe(structure.dim, pi, energy_grad, dissipation_grad)
+    return GeneralisedSystemProbe(pi, energy_grad, dissipation_grad)
 
 
 def verify_entropic_flow(gen: GeneratorMatrix, structure: EntropicStructure,

@@ -100,35 +100,30 @@ class GeneralisedSystemProbe:
 
     ``energy_grad`` maps a state to the energy gradient; ``dissipation_grad``
     maps (state, force) to the velocity produced by the dissipation
-    potential.  Analytic Hessians may be supplied to skip finite
-    differencing.  Construction verifies that zero force produces a velocity
+    potential.  The dimension is the equilibrium's size, which must be
+    positive.  Construction verifies that zero force produces a velocity
     below ``1e-8 s`` at the equilibrium and at it shifted by ``0.01 s``, with
     ``s = max|equilibrium|`` (1 at 0).
     """
 
-    dim: int
     equilibrium: np.ndarray
     energy_grad: Callable[[np.ndarray], np.ndarray]
     dissipation_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    energy_hessian: np.ndarray | None = None
-    dissipation_hessian: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
-        eq = as_vector(self.equilibrium, self.dim)
+        eq = as_vector(self.equilibrium)
+        if eq.size == 0:
+            raise ValueError("equilibrium must be non-empty")
         object.__setattr__(self, "equilibrium", eq)
-        for name in ("energy_hessian", "dissipation_hessian"):
-            if getattr(self, name) is not None:
-                m = as_square_matrix(getattr(self, name))
-                if m.shape[0] != self.dim:
-                    raise ValueError(f"{name} must be {self.dim} x {self.dim}")
-                object.__setattr__(self, name, m)
         scale = float(np.max(np.abs(eq))) or 1.0  # of states and velocities near eq
         for point in (eq, eq + 0.01 * scale):
-            rest = as_vector(self.dissipation_grad(point, np.zeros(self.dim)), self.dim)
+            rest = as_vector(self.dissipation_grad(point, np.zeros(eq.size)), eq.size)
             if np.linalg.norm(rest) > 1e-8 * scale:
                 raise ValueError("dissipation gradient must vanish at zero force")
+
+    @property
+    def dim(self) -> int:
+        return self.equilibrium.size
 
 
 @dataclass(frozen=True)
@@ -190,7 +185,8 @@ def recover_diagonalisation(gs: CanonicalGradientSystem, a,
     return _certify_eigenbasis(a, eigenvalues, root @ basis)
 
 
-def _central_difference_jacobian(fn, x0: np.ndarray, step: float, dim: int) -> np.ndarray:
+def _central_difference_jacobian(fn, x0: np.ndarray, step: float) -> np.ndarray:
+    dim = x0.size
     columns = []
     for j in range(dim):
         offset = np.zeros(dim)
@@ -201,17 +197,17 @@ def _central_difference_jacobian(fn, x0: np.ndarray, step: float, dim: int) -> n
     return np.column_stack(columns)
 
 
-def linearise_generalised(probe: GeneralisedSystemProbe, step: float | None = None,
-                          tol: float = 1e-6) -> CanonicalGradientSystem:
+def linearise_generalised(probe: GeneralisedSystemProbe,
+                          step: float | None = None) -> CanonicalGradientSystem:
     """Quadratise a generalised gradient system at its equilibrium.
 
     The mobility is the force-Hessian of the dissipation potential at zero
-    force and the energy curvature is the Hessian of the energy, both taken
-    from the probe when supplied and otherwise by central finite differences
-    with ``step`` (default ``1e-5 * max|equilibrium|``, ``1e-5`` at 0).  Both matrices
-    are symmetrized and validated by :class:`CanonicalGradientSystem`;
-    ``tol`` bounds only the rest check, ``|velocity| <= tol * max|equilibrium|``
-    (``tol`` at 0).
+    force and the energy curvature is the Hessian of the energy, both by
+    central finite differences with ``step`` (default
+    ``1e-5 * max|equilibrium|``, ``1e-5`` at 0).  Both matrices are
+    symmetrized and validated by :class:`CanonicalGradientSystem`.  The
+    equilibrium rests when ``|velocity| <= 1e-6 * max|equilibrium|``
+    (``1e-6`` at 0).
 
     Raises :class:`NotCriticalError` when the equilibrium does not rest
     (the dissipation gradient at minus the energy gradient is nonzero) and
@@ -228,20 +224,12 @@ def linearise_generalised(probe: GeneralisedSystemProbe, step: float | None = No
 
     grad0 = as_vector(probe.energy_grad(eq), probe.dim)
     velocity0 = as_vector(probe.dissipation_grad(eq, -grad0), probe.dim)
-    if np.linalg.norm(velocity0) > tol * scale:
+    if np.linalg.norm(velocity0) > 1e-6 * scale:
         raise NotCriticalError("flow does not rest at the claimed equilibrium")
 
-    if probe.dissipation_hessian is not None:
-        mobility = probe.dissipation_hessian
-    else:
-        mobility = _central_difference_jacobian(
-            lambda force: probe.dissipation_grad(eq, force),
-            np.zeros(probe.dim), step, probe.dim)
-    if probe.energy_hessian is not None:
-        curvature = probe.energy_hessian
-    else:
-        curvature = _central_difference_jacobian(probe.energy_grad, eq, step, probe.dim)
-
+    mobility = _central_difference_jacobian(
+        lambda force: probe.dissipation_grad(eq, force), np.zeros(probe.dim), step)
+    curvature = _central_difference_jacobian(probe.energy_grad, eq, step)
     try:
         return CanonicalGradientSystem(_symmetric_part(mobility), _symmetric_part(curvature), eq)
     except ValueError as exc:  # the hessians are symmetric and dim x dim here

@@ -576,6 +576,33 @@ def test_markov_requires_convention_marker(workdir, capsys):
     assert "convention" in err
 
 
+SIMULATE = ["simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--nodes", "9",
+            "--out", "{csv}"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["markov", "{gen}", "validate", "--samples", "7", "--seed", "3"], ["subcommand", "tol"]),
+    (["markov", "{gen}", "stationary", "--samples", "7", "--seed", "3"], ["subcommand", "tol"]),
+    (["markov", "{gen}", "reversible", "--samples", "7", "--seed", "3"], ["subcommand", "tol"]),
+    (["markov", "{gen}", "entropic-verify", "--samples", "7", "--seed", "3"],
+     ["subcommand", "tol", "samples", "seed"]),
+    (SIMULATE, ["method", "t_end", "step", "nodes"]),
+    (SIMULATE + ["--step", "0.5"], ["method", "t_end", "step"]),
+], ids=["validate", "stationary", "reversible", "entropic-verify", "simulate-nodes",
+        "simulate-step"])
+def test_report_options_hold_only_the_settings_that_took_effect(workdir, capsys, argv, keys):
+    """``--samples`` and ``--seed`` feed only ``entropic-verify``, and ``--nodes``
+    only the exact method's node grid, so only those reports echo them."""
+    tmp_path, write = workdir
+    fields = {"gen": write("gen.json", {"convention": "transposed", "dim": 3,
+                                        "rows": reversible_three_state().matrix.tolist()}),
+              "system": str(tmp_path / "system.json"), "csv": str(tmp_path / "t.csv")}
+    run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", fields["system"])
+    code, report, _ = run(capsys, *(part.format(**fields) for part in argv))
+    assert code == 0
+    assert list(report["options"]) == keys
+
+
 def test_reports_are_deterministic_modulo_timestamp(workdir, capsys):
     _, write = workdir
     path = write("a.json", THREE_STATE_DOC)

@@ -304,8 +304,9 @@ def test_essential_range_check_cases():
     assert essential_range_check(Diagonalisation(eye, np.array([0.0, -3.0, -6.0])))
     assert not essential_range_check(Diagonalisation(np.eye(2), np.array([1.0, -1.0])))
     assert essential_range_check(Diagonalisation(np.eye(2), np.array([0.0, 0.0])))
-    assert essential_range_check(Diagonalisation(np.eye(2), np.array([3.0, 1.0])),
-                                 spectrum_bound=3.0)
+    # a positive eigenvalue passes only within tol * max|w|
+    assert essential_range_check(Diagonalisation(np.eye(2), np.array([1e-10, -1.0])))
+    assert not essential_range_check(Diagonalisation(np.eye(2), np.array([1e-8, -1.0])))
 
 
 @pytest.mark.parametrize("k", [0, -40])

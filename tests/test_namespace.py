@@ -14,9 +14,9 @@ SRC = str(Path(gradflow.__file__).resolve().parents[1])
 LAYERS = ("spectral", "synthesis", "geometry", "flow", "markov", "serialize")
 
 
-def _python(*args, log=""):
-    """Run a fresh interpreter on the sources; ``log`` sets GRADFLOW_LOG ("" is off)."""
-    env = dict(os.environ, PYTHONPATH=SRC, GRADFLOW_LOG=log)
+def _python(*args):
+    """Run a fresh interpreter on the sources."""
+    env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, check=False)
 
@@ -71,9 +71,13 @@ def test_analyze_loads_only_spectral_and_serialize(tmp_path):
                          "gradflow.synthesis", "logging"}
 
 
-def test_gradflow_log_writes_the_command_to_stderr(tmp_path):
+def test_gradflow_log_is_not_read(tmp_path, monkeypatch):
+    """The removed ``GRADFLOW_LOG=debug`` prints nothing and loads no ``logging``."""
+    monkeypatch.setenv("GRADFLOW_LOG", "debug")
     matrix = tmp_path / "a.json"
     matrix.write_text('{"dim": 2, "rows": [[-1, 0], [0, -2]]}')
-    result = _python("-m", "gradflow.cli", "analyze", str(matrix), log="debug")
-    assert result.returncode == 0, result.stderr
-    assert "gradflow DEBUG command analyze" in result.stderr.splitlines()
+    result = _python("-m", "gradflow.cli", "analyze", str(matrix))
+    assert (result.returncode, result.stderr) == (0, "")
+    loaded = _modules_after("from gradflow.cli import main; raise SystemExit(main(sys.argv[1:]))",
+                            "analyze", str(matrix))
+    assert "logging" not in loaded

@@ -25,8 +25,7 @@ THREE_STATE_DOC = {"dim": 3, "rows": [[-2, 0, 2], [1, -3, 2], [1, 3, -4]]}
 
 def _cli(*argv, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=(), **popen):
     """Run ``python -m gradflow.cli argv`` in a fresh interpreter."""
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("PYTHONUNBUFFERED", "GRADFLOW_LOG")}
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run([sys.executable, "-m", "gradflow.cli", *argv], cwd=cwd,
                           stdout=stdout, stderr=stderr, text=True,
                           env={**base, "PYTHONPATH": SRC, **dict(env)}, check=False,
@@ -108,13 +107,6 @@ def test_simulate_csv_is_whole(tmp_path, capsys, monkeypatch):
     csv = (tmp_path / "t.csv").read_bytes()
     assert len(csv) > 8192 and csv.count(b"\n") == 2001
     assert hashlib.sha256(csv).digest() == hashlib.sha256(expected_csv).digest()
-
-
-def test_gradflow_log_debug_still_prints_its_line(tmp_path):
-    child = _cli("analyze", _write(tmp_path / "a.json", THREE_STATE_DOC), cwd=tmp_path,
-                 env={"GRADFLOW_LOG": "debug"})
-    assert child.returncode == 0
-    assert child.stderr == "gradflow DEBUG command analyze\n"
 
 
 def test_usage_error_exits_2_and_help_exits_0(tmp_path):

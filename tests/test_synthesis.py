@@ -145,7 +145,7 @@ def test_linearise_linear_probe_is_exact():
     curvature = np.array([[1.0, -0.3], [-0.3, 2.0]])
     pivot = np.array([0.4, -0.2])
     probe = GeneralisedSystemProbe(
-        2, pivot,
+        pivot,
         energy_grad=lambda x: curvature @ (np.asarray(x) - pivot),
         dissipation_grad=lambda x, force: mobility @ np.asarray(force))
     lin = linearise_generalised(probe)
@@ -154,25 +154,11 @@ def test_linearise_linear_probe_is_exact():
     assert np.array_equal(lin.equilibrium, pivot)
 
 
-def test_linearise_prefers_supplied_hessians():
-    mobility = np.diag([3.0, 1.0])
-    curvature = np.diag([2.0, 5.0])
-    probe = GeneralisedSystemProbe(
-        2, np.zeros(2),
-        energy_grad=lambda x: curvature @ np.asarray(x),
-        dissipation_grad=lambda x, force: mobility @ np.asarray(force),
-        energy_hessian=curvature,
-        dissipation_hessian=mobility)
-    lin = linearise_generalised(probe)
-    assert np.array_equal(lin.onsager, mobility)
-    assert np.array_equal(lin.hessian, curvature)
-
-
 def test_linearise_finite_difference_error_is_second_order():
     """Quartic terms leave an O(step^2) defect that shrinks ~4x per halving."""
     curvature = np.diag([1.0, 2.0])
     probe = GeneralisedSystemProbe(
-        2, np.zeros(2),
+        np.zeros(2),
         energy_grad=lambda x: curvature @ np.asarray(x) + 0.3 * np.asarray(x) ** 3,
         dissipation_grad=lambda x, force: np.asarray(force) + 0.3 * np.asarray(force) ** 3)
     defects = []
@@ -189,7 +175,7 @@ def test_linearise_default_step_follows_the_equilibrium_scale(k):
     orthant nor loses the curvature ``diag(1 / eq)`` as ``eq`` shrinks."""
     eq = np.ldexp(np.array([1.0, 2.0]), k)
     probe = GeneralisedSystemProbe(
-        2, eq,
+        eq,
         energy_grad=lambda x: np.log(np.asarray(x) / eq),
         dissipation_grad=lambda x, force: np.asarray(x) * np.asarray(force))
     lin = linearise_generalised(probe)
@@ -210,7 +196,7 @@ def test_probe_shift_follows_the_equilibrium_scale(k):
             raise ValueError("occupation outside (0, c)")
         return x * (cap - x) / cap * np.asarray(force)
 
-    probe = GeneralisedSystemProbe(2, eq, energy_grad=lambda x: (x - eq) / cap,
+    probe = GeneralisedSystemProbe(eq, energy_grad=lambda x: (x - eq) / cap,
                                    dissipation_grad=dissipation_grad)
     lin = linearise_generalised(probe)
     assert np.allclose(lin.onsager, np.diag(eq * (cap - eq) / cap), rtol=1e-9, atol=0.0)
@@ -223,7 +209,7 @@ def test_probe_refuses_a_rest_velocity_at_every_scale(k):
     eq = np.ldexp(np.array([1.0, 2.0]), k)
     with pytest.raises(ValueError, match="must vanish at zero force"):
         GeneralisedSystemProbe(
-            2, eq, energy_grad=lambda x: np.asarray(x, dtype=float),
+            eq, energy_grad=lambda x: np.asarray(x, dtype=float),
             dissipation_grad=lambda x, force: np.asarray(force) + 1e-3 * eq)
 
 
@@ -233,7 +219,7 @@ def test_linearise_refuses_an_equilibrium_off_by_a_relative_1e_3(k):
     velocity there is ``1e-3 eq``, refused at every scale of ``eq``."""
     eq = np.ldexp(np.array([1.0, 2.0]), k)
     probe = GeneralisedSystemProbe(
-        2, eq,
+        eq,
         energy_grad=lambda x: np.asarray(x) - 0.999 * eq,
         dissipation_grad=lambda x, force: np.asarray(force, dtype=float))
     with pytest.raises(NotCriticalError):
@@ -242,7 +228,7 @@ def test_linearise_refuses_an_equilibrium_off_by_a_relative_1e_3(k):
 
 def test_linearise_rejects_non_equilibrium():
     probe = GeneralisedSystemProbe(
-        2, np.array([1.0, 0.0]),
+        np.array([1.0, 0.0]),
         energy_grad=lambda x: np.asarray(x, dtype=float),
         dissipation_grad=lambda x, force: np.asarray(force, dtype=float))
     with pytest.raises(NotCriticalError):
@@ -250,15 +236,15 @@ def test_linearise_rejects_non_equilibrium():
 
 
 def test_linearise_rejects_indefinite_mobility():
-    # None: finite differences of diag(1, -1).  diag(1, -1e-7) has relative
-    # eigenvalue -1e-7, inside linearise's own tol 1e-6, so it once passed
-    # that check and then failed the system's with a bare ValueError.
-    for mobility in (None, np.diag([1.0, -1e-7])):
+    # diag(1, -1e-7) has relative eigenvalue -1e-7, inside the 1e-6 that
+    # linearise once applied to the mobility itself, so it passed that check
+    # and then failed the system's with a bare ValueError.  The central
+    # differences of a linear dissipation gradient give back its matrix.
+    for mobility in (np.diag([1.0, -1.0]), np.diag([1.0, -1e-7])):
         probe = GeneralisedSystemProbe(
-            2, np.zeros(2),
+            np.zeros(2),
             energy_grad=lambda x: np.asarray(x, dtype=float),
-            dissipation_grad=lambda x, force: np.array([force[0], -force[1]]),
-            dissipation_hessian=mobility)
+            dissipation_grad=lambda x, force, m=mobility: m @ np.asarray(force))
         with pytest.raises(NotSPDError):
             linearise_generalised(probe)
 
@@ -266,7 +252,7 @@ def test_linearise_rejects_indefinite_mobility():
 @pytest.mark.parametrize("call, expected", [
     (lambda: symmetric_sqrt(np.diag([4.0, 9.0])), {"eigh": 1}),
     (lambda: linearise_generalised(GeneralisedSystemProbe(
-        2, np.zeros(2),
+        np.zeros(2),
         energy_grad=lambda x: np.asarray(x, dtype=float),
         dissipation_grad=lambda x, force: np.asarray(force, dtype=float))),
      {"eigvalsh": 1}),
@@ -280,34 +266,28 @@ def test_spd_checks_factorise_once(linalg_counts, call, expected):
 
 def test_linearise_constant_energy_probe():
     probe = GeneralisedSystemProbe(
-        2, np.zeros(2),
+        np.zeros(2),
         energy_grad=lambda x: np.zeros(2),
         dissipation_grad=lambda x, force: np.asarray(force, dtype=float))
     lin = linearise_generalised(probe)
     assert np.allclose(lin.hessian, 0.0, atol=1e-12)
 
 
-def test_probe_rejects_hessian_of_wrong_dimension():
-    # else linearise_generalised would report the mismatch as NotSPDError
-    with pytest.raises(ValueError, match="dissipation_hessian must be 2 x 2"):
-        GeneralisedSystemProbe(
-            2, np.zeros(2),
-            energy_grad=lambda x: np.asarray(x, dtype=float),
-            dissipation_grad=lambda x, force: np.asarray(force, dtype=float),
-            dissipation_hessian=np.eye(3))
-
-
 def test_probe_rejects_nonvanishing_rest_velocity():
     with pytest.raises(ValueError):
         GeneralisedSystemProbe(
-            2, np.zeros(2),
+            np.zeros(2),
             energy_grad=lambda x: np.asarray(x, dtype=float),
             dissipation_grad=lambda x, force: np.asarray(force) + 1.0)
 
 
+def test_probe_dimension_is_the_equilibrium_size():
+    assert _linear_probe(3).dim == 3
+
+
 def _linear_probe(dim=2):
     return GeneralisedSystemProbe(
-        dim, np.zeros(dim),
+        np.zeros(dim),
         energy_grad=lambda x: np.asarray(x, dtype=float),
         dissipation_grad=lambda x, force: np.asarray(force, dtype=float))
 
@@ -315,7 +295,7 @@ def _linear_probe(dim=2):
 @pytest.mark.parametrize("call, message", [
     (lambda: CanonicalGradientSystem(np.eye(2), np.eye(3), np.zeros(2)),
      "onsager and hessian dimensions disagree"),
-    (lambda: _linear_probe(0), "dim must be positive"),
+    (lambda: _linear_probe(0), "equilibrium must be non-empty"),
     (lambda: linearise_generalised(_linear_probe(), step=0.0), "step must be positive"),
     (lambda: verify_flow_identity(np.eye(2), nonreversible_three_state_system()),
      "matrix dimension does not match the system"),
