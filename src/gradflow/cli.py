@@ -130,24 +130,34 @@ def cmd_synthesize(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    from .synthesis import verify_flow_identity
+    from .synthesis import _canonical_residual, verify_flow_identity
 
     matrix, diag, gs, digest = load_system_document(args.input)
     residual = verify_flow_identity(matrix, gs).max_residual
     factorisation = _factorisation_residual(matrix, diag)
+    canonical = _canonical_residual(diag, gs)
     results = {"max_residual": residual, "factorisation_residual": factorisation,
-               "passed": bool(max(residual, factorisation) <= args.tol)}
+               "canonical_residual": canonical,
+               "passed": bool(max(residual, factorisation, canonical) <= args.tol)}
     return build_report("verify", digest, {"tol": args.tol}, results)
 
 
 def _load_factored_system(path, tol: float):
     """:func:`load_system_document`, refusing a file whose ``transform`` and
-    ``eigenvalues`` do not factor its ``matrix`` at ``tol``."""
+    ``eigenvalues`` do not factor its ``matrix`` at ``tol``, or whose onsager,
+    hessian and equilibrium are not the canonical pair of that factorisation."""
+    from .synthesis import _canonical_residual
+
     matrix, diag, gs, digest = load_system_document(path)
     defect = _factorisation_residual(matrix, diag)
     if not defect <= tol:
         raise PreconditionError(f"{path}: transform and eigenvalues do not factor the "
                                 f"matrix (residual {defect:.3g} above {tol:g})")
+    defect = _canonical_residual(diag, gs)
+    if not defect <= tol:
+        raise PreconditionError(f"{path}: onsager, hessian and equilibrium are not the "
+                                "canonical pair of transform and eigenvalues "
+                                f"(residual {defect:.3g} above {tol:g})")
     return matrix, diag, gs, digest
 
 
@@ -168,7 +178,7 @@ def cmd_convexity(args) -> dict:
     return build_report("convexity", digest, {"tol": args.tol}, results)
 
 
-def _simulate_one(args, matrix, diag, gs, x0):
+def _simulate_one(args, matrix, diag, x0):
     from . import flow
 
     method = args.method
@@ -184,12 +194,17 @@ def _simulate_one(args, matrix, diag, gs, x0):
         return flow._exact_at(diag, x0, flow._step_times(args.t_end, args.step)[0])
     if method is flow.Integrator.RK4:
         return flow.rk4_flow(matrix, x0, args.t_end, args.step)
-    return flow.minimizing_movement_flow(gs, diag, x0, args.t_end, args.step)
+    return flow.minimizing_movement_flow(diag, x0, args.t_end, args.step)
 
 
 def cmd_simulate(args) -> dict:
     from . import flow
 
+    if args.step is None:
+        args.nodes = args.nodes or 200  # the exact method's default grid
+    elif args.nodes is not None:
+        raise InputFormatError("--nodes sets the exact method's grid without --step; "
+                               "with --step the nodes are its multiples")
     if args.step is not None and args.t_end > MAX_COUNT * args.step:
         raise InputFormatError(
             f"--t-end / --step exceeds {MAX_COUNT} steps; raise --step")
@@ -200,7 +215,7 @@ def cmd_simulate(args) -> dict:
 
     with _warnings.catch_warnings(record=True) as collected:
         _warnings.simplefilter("always")
-        trajectory, *companion = [_simulate_one(args, matrix, diag, gs, x0) for x0 in states]
+        trajectory, *companion = [_simulate_one(args, matrix, diag, x0) for x0 in states]
         caught = [str(w.message) for w in collected]
 
     audit = flow.dissipation_audit(gs, trajectory)
@@ -234,6 +249,9 @@ def cmd_simulate(args) -> dict:
 def cmd_markov(args) -> dict:
     from . import markov
 
+    if args.subcommand != "entropic-verify" and (args.samples, args.seed) != (None, None):
+        raise InputFormatError(f"--samples and --seed are read only by entropic-verify, "
+                               f"not {args.subcommand}")
     matrix, digest = load_generator_document(args.input)
     options = {"subcommand": args.subcommand, "tol": args.tol}
 
@@ -256,11 +274,10 @@ def cmd_markov(args) -> dict:
                    "reversible": markov.is_reversible(gen, pi, args.tol),
                    "distribution": pi}
     else:  # entropic-verify
-        options.update(samples=args.samples, seed=args.seed)
+        options.update(samples=args.samples or 1000, seed=args.seed or 0)
         structure = markov.EntropicStructure.from_generator(gen, args.tol)
-        report = markov.verify_entropic_flow(gen, structure,
-                                             samples=args.samples,
-                                             seed=args.seed, tol=args.tol)
+        report = markov.verify_entropic_flow(gen, structure, samples=options["samples"],
+                                             seed=options["seed"], tol=args.tol)
         results = {"subcommand": "entropic-verify",
                    "max_residual": report.max_residual,
                    "num_samples": report.num_samples,
@@ -288,10 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=None):
         p.add_argument("--tol", type=_bounded(float, 0.0, inclusive=False),
                        default=DEFAULT_TOL, help="relative tolerance (default 1e-9)")
-        if seed:  # the help texts of --samples and --seed
-            p.add_argument("--samples", type=_count, default=1000, help=seed[0])
-            p.add_argument("--seed", type=_bounded(int, 0, inclusive=True), default=0,
-                           help=seed[1])
+        if seed:  # the help texts of --samples and --seed; unset, they read None
+            p.add_argument("--samples", type=_count, help=seed[0])
+            p.add_argument("--seed", type=_bounded(int, 0, inclusive=True), help=seed[1])
 
     p = sub.add_parser("analyze", help="is the matrix real diagonalisable?")
     p.add_argument("input", help="matrix JSON file")
@@ -330,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integrator (default exact)")
     p.add_argument("--step", type=_bounded(float, 0.0, inclusive=False),
                    help="step size (required for rk4 and mm; exact samples their nodes)")
-    p.add_argument("--nodes", type=_count, default=200,
-                   help="exact-method sample count (default 200)")
+    p.add_argument("--nodes", type=_count,
+                   help="exact-method sample count without --step (default 200)")
     p.add_argument("--out", required=True, help="trajectory CSV to write")
     p.set_defaults(handler=cmd_simulate)
 
@@ -339,8 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="generator JSON file (transposed convention)")
     p.add_argument("subcommand", choices=["validate", "stationary",
                                           "reversible", "entropic-verify"])
-    common(p, seed=("entropic-verify's number of sampled checks (default 1000)",
-                    "entropic-verify's sampling seed, echoed in its report (default 0)"))
+    common(p, seed=("entropic-verify's number of sampled checks (default 1000); "
+                    "refused by the other subcommands",
+                    "entropic-verify's sampling seed, echoed in its report (default 0); "
+                    "refused by the other subcommands"))
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(handler=cmd_markov)
     return parser

@@ -3,9 +3,11 @@
 Three routes: the exact spectral propagator, classical fixed-step RK4, and
 minimizing-movement steps in the transport metric of a
 :class:`~gradflow.spectral.Diagonalisation`.  The exact trajectory and the
-minimizing-movement scheme are diagonal in a modal basis, so each is one
-array of per-node mode factors mapped back by :func:`_modal_rows`; RK4
-steps its matrix polynomial.  A dissipation audit evaluates the energy
+minimizing-movement scheme are diagonal in the modes ``z = T x`` of the
+record, where the canonical energy is ``-sum_i w_i z_i^2 / 2``, so each is
+one array of per-node mode factors (``exp(t w_i)``, or products of
+``1 / (1 - h w_i)``) mapped back by :func:`_modal_rows`; RK4 steps its
+matrix polynomial.  A dissipation audit evaluates the energy
 along a computed trajectory and checks the decay identity.
 """
 
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError, SingularStepError
-from .spectral import (Diagonalisation, _symmetric_part, _unit_scale, as_square_matrix,
-                       as_states, as_vector, guarded_exp)
+from .spectral import (Diagonalisation, _unit_scale, as_square_matrix, as_states, as_vector,
+                       guarded_exp)
 from .synthesis import CanonicalGradientSystem, _quadratic_form
 
 
@@ -172,40 +174,37 @@ def rk4_flow(a, x0, t_end: float, step: float) -> Trajectory:
     return Trajectory(times[:k + 1], states[:k + 1], Integrator.RK4)
 
 
-def minimizing_movement_flow(gs: CanonicalGradientSystem, diag: Diagonalisation,
-                             x0, t_end: float, tau: float) -> Trajectory:
+def minimizing_movement_flow(diag: Diagonalisation, x0, t_end: float,
+                             tau: float) -> Trajectory:
     """Implicit steps ``x_{k+1} = argmin F(x) + d(x, x_k)^2 / (2 tau)``.
 
-    For the quadratic energy and the transport metric of ``diag``, the flat
-    metric with tensor ``g = T.T @ T`` (``T = diag.transform``), a step of
-    size ``h`` solves ``(g + h hessian) x_{k+1} = g x_k + h hessian eq``
-    with ``eq = gs.equilibrium``.  The scheme is evaluated in closed form:
-    take the one ``eigh`` of ``m = inv(T).T @ hessian @ inv(T)`` (with the
-    record's cached ``inv(T)``), ``m = V diag(mu) V.T``.  In the deviation
-    coordinates ``z = V.T @ T @ (x - eq)`` a step multiplies each ``z_i`` by
-    ``1 / (1 + h mu_i)``, so the states are a cumulative product over the
-    steps, mapped back in one matrix product.  Steps of size ``tau`` cover
-    ``[0, t_end]``, with one shorter final step when the horizon is not an
-    exact multiple, so the trajectory ends at ``t_end``.  By congruence the
-    step matrix ``g + h hessian`` is positive definite iff
-    ``1 + h min(mu) > 0``; :class:`SingularStepError` is raised unless that
-    holds for every step.  A non-finite state raises
-    :class:`NonFiniteStateError`.  The scheme is backward Euler in
-    disguise, first-order accurate in ``tau``.
+    The energy is the canonical ``F(x) = -<diag(w) T x, T x> / 2`` and the
+    metric the transport metric ``d(x, y) = |T (y - x)|`` of ``diag``
+    (``T = diag.transform``, ``w = diag.eigenvalues``): the pair that
+    :func:`~gradflow.synthesis.synthesize_canonical` builds.  A step of size
+    ``h`` solves ``(T.T T + h B) x_{k+1} = T.T T x_k`` with
+    ``B = -T.T diag(w) T``.  In the modes ``z = T x`` the energy decouples,
+    so a step divides each ``z_i`` by ``1 - h w_i``: the states are the
+    cumulative products of those factors, mapped back by
+    :func:`_modal_rows` with the record's cached ``eigenvectors``.  Steps of
+    size ``tau`` cover ``[0, t_end]``, with one shorter final step when the
+    horizon is not an exact multiple, so the trajectory ends at ``t_end``.
+    The step matrix ``T.T (I - h diag(w)) T`` is positive definite iff every
+    ``1 - h w_i > 0``; :class:`SingularStepError` is raised unless that holds
+    for every step.  A non-finite state raises :class:`NonFiniteStateError`.
+    The scheme is backward Euler in disguise, first-order accurate in
+    ``tau``.
     """
-    x0 = as_vector(x0, gs.dim)
+    x0 = as_vector(x0, diag.dim)
     times, _ = _step_times(t_end, tau)
-    inv_t = diag.eigenvectors
-    mu, v = np.linalg.eigh(_symmetric_part(inv_t.T @ gs.hessian @ inv_t))
-    growth = 1.0 + np.outer(np.diff(times), mu)  # I + h m in modes, a row per step
+    growth = 1.0 - np.outer(np.diff(times), diag.eigenvalues)  # a row per step
     if not np.min(growth) > 0.0:
         raise SingularStepError(
             f"step matrix not positive definite at tau = {tau:g}; "
             "reduce the step")
-    eq = gs.equilibrium
     with np.errstate(over="ignore", invalid="ignore"):  # Trajectory reports it
-        factors = np.cumprod(np.vstack([np.ones(gs.dim), 1.0 / growth]), axis=0)
-        states = eq + _modal_rows(inv_t @ v, factors, (x0 - eq) @ (v.T @ diag.transform).T)
+        factors = np.cumprod(np.vstack([np.ones(diag.dim), 1.0 / growth]), axis=0)
+        states = _modal_rows(diag.eigenvectors, factors, x0 @ diag.transform.T)
     states[0] = x0
     return Trajectory(times, states, Integrator.MINIMIZING_MOVEMENT)
 

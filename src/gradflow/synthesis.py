@@ -7,9 +7,12 @@ diagonalisation ``a = inv(t) @ diag(w) @ t`` the synthesized pair is
 
     onsager = inv(t) @ inv(t).T        hessian = -t.T @ diag(w) @ t
 
-so that ``a = -onsager @ hessian`` holds as an operator identity.  The
-converse direction recovers a diagonalisation from any such pair through the
-symmetric square root of the Onsager operator.
+so that ``a = -onsager @ hessian`` holds as an operator identity.  The pair
+is a function of ``(t, w)``: :func:`_canonical_residual` measures how far a
+stored pair is from it, and a system file must hold it.  The converse
+direction recovers a diagonalisation from any pair with
+``a = -onsager @ hessian``, canonical or not, through the symmetric square
+root of the Onsager operator.
 """
 
 from __future__ import annotations
@@ -149,6 +152,39 @@ def synthesize_canonical(diag: Diagonalisation) -> CanonicalGradientSystem:
     onsager = _symmetric_part(inv_t @ inv_t.T)
     hessian = _symmetric_part(-(diag.transform.T * diag.eigenvalues) @ diag.transform)
     return CanonicalGradientSystem(onsager, hessian, np.zeros(diag.dim))
+
+
+def _shifted_defect(x, x_bound, ex: int, y, y_bound, ey: int) -> float:
+    """``|2**ex x - 2**ey y|_F / max(2**ex x_bound, 2**ey y_bound)``, with both
+    sides shifted to the larger exponent so that nothing overflows."""
+    top = max(ex, ey)
+    x, x_bound = np.ldexp(x, ex - top), np.ldexp(x_bound, ex - top)
+    y, y_bound = np.ldexp(y, ey - top), np.ldexp(y_bound, ey - top)
+    return _relative(np.linalg.norm(x - y), max(x_bound, y_bound))
+
+
+def _canonical_residual(diag: Diagonalisation, gs: CanonicalGradientSystem) -> float:
+    """Relative defect of ``gs`` as the canonical pair of ``diag``
+    (:func:`synthesize_canonical`): the largest of
+
+    * ``|T K T.T - I|_F / max(|T|_2^2 |K|_F, |I|_F)`` (``K = inv(T) inv(T).T``),
+    * ``|B + T.T diag(w) T|_F / max(|B|_F, |T|_2^2 |w|_2)``,
+    * and 1 if the equilibrium is not exactly 0, which no tolerance forgives.
+
+    Each side of each identity is bounded by its term of the ``max``, so the
+    measure is at most 2, and a pair within relative ``tol`` of the canonical
+    one reads about ``tol`` whatever ``cond(T)``.  ``T``, ``K``, ``B`` and
+    ``w`` are read on their :func:`~gradflow.spectral._unit_scale` copies,
+    so ``2**k`` changes no bit: three products, no inverse or factorisation.
+    """
+    (t, f), (k, g) = _unit_scale(diag.transform), _unit_scale(gs.onsager)
+    (b, eb), (w, ew) = _unit_scale(gs.hessian), _unit_scale(diag.eigenvalues)
+    t_norm2 = np.ldexp(diag.transform_norm, -f) ** 2
+    onsager = _shifted_defect(t @ k @ t.T, t_norm2 * np.linalg.norm(k), 2 * f + g,
+                              np.eye(diag.dim), np.sqrt(diag.dim), 0)
+    hessian = _shifted_defect(b, np.linalg.norm(b), eb, -(t.T * w) @ t,
+                              t_norm2 * np.linalg.norm(w), 2 * f + ew)
+    return max(onsager, hessian, float(np.any(gs.equilibrium != 0.0)))
 
 
 def recover_diagonalisation(gs: CanonicalGradientSystem, a,

@@ -19,8 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 from gradflow import cli, errors
 from gradflow.cli import main
 from gradflow.serialize import REPORT_SCHEMA, load_system_document, save_system_document
-from gradflow import (Diagonalisation, nonreversible_three_state, reversible_three_state,
-                      synthesize_canonical)
+from gradflow import (CanonicalGradientSystem, Diagonalisation, nonreversible_three_state,
+                      nonreversible_three_state_system, real_diagonalise,
+                      reversible_three_state, synthesize_canonical)
 
 from conftest import blowup_diagonalisation, make_diagonalisation, make_transform
 
@@ -195,6 +196,54 @@ def test_a_system_that_does_not_factor_its_matrix_exits_4_before_any_output(
     assert sorted(os.listdir(tmp_path)) == before  # no --out file
 
 
+def _non_canonical_records(kind: str):
+    """The records of the README matrix, whose ``transform`` and ``eigenvalues``
+    factor it exactly, with a pair that is not the canonical one of them."""
+    matrix = nonreversible_three_state().matrix
+    diag = real_diagonalise(matrix)
+    gs = synthesize_canonical(diag)
+    onsager, hessian, equilibrium = gs.onsager, gs.hessian, gs.equilibrium.copy()
+    if kind == "onsager-1e-6":
+        onsager = onsager * (1.0 + 1e-6)
+    elif kind == "hessian-1e-6":
+        hessian = hessian * (1.0 + 1e-6)
+    elif kind == "equilibrium-1e-3":
+        equilibrium[0] = 1e-3
+    else:  # the chain's own valid pair: a = -K B, but not K = inv(T) inv(T).T
+        return matrix, diag, nonreversible_three_state_system()
+    return matrix, diag, CanonicalGradientSystem(onsager, hessian, equilibrium)
+
+
+@pytest.mark.parametrize("route", ["json", "sidecar"])
+@pytest.mark.parametrize("kind", ["onsager-1e-6", "hessian-1e-6", "equilibrium-1e-3",
+                                  "chain-pair"])
+def test_a_system_that_is_not_the_canonical_pair_of_its_factorisation_exits_4(
+        workdir, capsys, kind, route):
+    """``verify`` reports the pair's defect and fails; ``convexity`` and
+    ``simulate`` refuse the file before any output, read from the JSON or from
+    the sidecar beside it."""
+    tmp_path, _ = workdir
+    system = str(tmp_path / "system.json")
+    save_system_document(system, *_non_canonical_records(kind))
+    if route == "json":
+        os.remove(system + ".cache")
+    code, report, err = run(capsys, "verify", system)
+    assert (code, err) == (0, "")
+    results = report["results"]
+    assert results["factorisation_residual"] <= 1e-15
+    assert results["canonical_residual"] > 1e-9 and results["passed"] is False
+    before = sorted(os.listdir(tmp_path))
+    for argv in (["convexity", system, "--out", str(tmp_path / "report.json")],
+                 ["simulate", system, "--x0", "1,0,0", "--t-end", "1", "--method", "mm",
+                  "--step", "0.25", "--out", str(tmp_path / "t.csv")]):
+        code, report, err = run(capsys, *argv)
+        assert (code, report) == (4, None)
+        assert err.startswith(f"gradflow: precondition failed: {system}: onsager, hessian "
+                              "and equilibrium are not the canonical pair of transform "
+                              "and eigenvalues (residual ")
+        assert sorted(os.listdir(tmp_path)) == before  # no --out file
+
+
 @pytest.mark.parametrize("fields, defect", [
     ({"matrix": [[1e-300, 0.0], [0.0, 1e-300]], "hessian": [[-1e-300, 0.0], [0.0, -1e-300]],
       "transform": [[1.0, 0.0], [0.0, 1.0]], "eigenvalues": [1e10, 1e10]}, 1.0),
@@ -215,12 +264,12 @@ def test_verify_of_factors_beyond_the_matrix_scale_reads_a_finite_defect(
     assert (code, err) == (0, "")
     assert report["results"] == {"max_residual": 0.0,
                                  "factorisation_residual": pytest.approx(defect),
-                                 "passed": False}
+                                 "canonical_residual": 1.0, "passed": False}
 
 
 @pytest.mark.parametrize("k", [-40, 40])
 def test_factorisation_residual_is_the_same_at_any_scale(workdir, capsys, k):
-    """``A``, ``w`` and the hessian times ``2**k``: both residuals read the same bits."""
+    """``A``, ``w`` and the hessian times ``2**k``: every residual reads the same bits."""
     tmp_path, write = workdir
     planted = make_diagonalisation(np.random.default_rng(8), 8, cond=30.0)
     system = tmp_path / "system.json"
@@ -236,6 +285,7 @@ def test_factorisation_residual_is_the_same_at_any_scale(workdir, capsys, k):
                for path in (str(system), _mutated_system(system, "scaled.json", scale))]
     assert results[0] == results[1]
     assert 0.0 < results[0]["factorisation_residual"] <= 1e-14
+    assert 0.0 < results[0]["canonical_residual"] <= 1e-14
 
 
 def test_verify_of_a_zero_matrix_with_a_nonzero_flow_fails_without_traceback(workdir, capsys):
@@ -250,7 +300,7 @@ def test_verify_of_a_zero_matrix_with_a_nonzero_flow_fails_without_traceback(wor
     code, report, err = run(capsys, "verify", system)
     assert (code, err) == (0, "")
     assert report["results"] == {"max_residual": 1.0, "factorisation_residual": 1.0,
-                                 "passed": False}
+                                 "canonical_residual": 0.0, "passed": False}
 
 
 def test_convexity_command_reports_certificates(workdir, capsys):
@@ -581,26 +631,35 @@ SIMULATE = ["simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--nodes", 
 
 
 @pytest.mark.parametrize("argv, keys", [
-    (["markov", "{gen}", "validate", "--samples", "7", "--seed", "3"], ["subcommand", "tol"]),
-    (["markov", "{gen}", "stationary", "--samples", "7", "--seed", "3"], ["subcommand", "tol"]),
-    (["markov", "{gen}", "reversible", "--samples", "7", "--seed", "3"], ["subcommand", "tol"]),
-    (["markov", "{gen}", "entropic-verify", "--samples", "7", "--seed", "3"],
+    (["markov", "{gen}", "validate", "--samples", "7", "--seed", "3", "--out", "{out}"], None),
+    (["markov", "{gen}", "stationary", "--samples", "7", "--out", "{out}"], None),
+    (["markov", "{gen}", "reversible", "--seed", "3", "--out", "{out}"], None),
+    (["markov", "{gen}", "entropic-verify", "--samples", "7", "--seed", "3", "--out", "{out}"],
      ["subcommand", "tol", "samples", "seed"]),
     (SIMULATE, ["method", "t_end", "step", "nodes"]),
-    (SIMULATE + ["--step", "0.5"], ["method", "t_end", "step"]),
+    (SIMULATE + ["--step", "0.5"], None),
 ], ids=["validate", "stationary", "reversible", "entropic-verify", "simulate-nodes",
         "simulate-step"])
 def test_report_options_hold_only_the_settings_that_took_effect(workdir, capsys, argv, keys):
     """``--samples`` and ``--seed`` feed only ``entropic-verify``, and ``--nodes``
-    only the exact method's node grid, so only those reports echo them."""
+    only the exact method's node grid without ``--step``, so only those reports
+    echo them.  Given anywhere else, each is refused (``keys`` None): exit 2,
+    one stderr line and no output file."""
     tmp_path, write = workdir
     fields = {"gen": write("gen.json", {"convention": "transposed", "dim": 3,
                                         "rows": reversible_three_state().matrix.tolist()}),
-              "system": str(tmp_path / "system.json"), "csv": str(tmp_path / "t.csv")}
+              "system": str(tmp_path / "system.json"), "csv": str(tmp_path / "t.csv"),
+              "out": str(tmp_path / "report.json")}
     run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", fields["system"])
-    code, report, _ = run(capsys, *(part.format(**fields) for part in argv))
-    assert code == 0
-    assert list(report["options"]) == keys
+    before = sorted(tmp_path.iterdir())
+    code, report, err = run(capsys, *(part.format(**fields) for part in argv))
+    if keys is None:
+        assert (code, report) == (2, None)
+        assert err.startswith("gradflow: parse error: --") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+    else:
+        assert code == 0
+        assert list(report["options"]) == keys
 
 
 def test_reports_are_deterministic_modulo_timestamp(workdir, capsys):
@@ -773,7 +832,8 @@ def test_every_failure_exits_with_a_documented_code_and_label(
         code, None, f"gradflow: {label}: detail\n")
 
 
-# T = 1e160 I diagonalises diag(-1, 0), but |T|^2 is beyond the double range.
+# T = 1e160 I diagonalises diag(-1, 0), but its canonical pair is beyond the double
+# range, so K = I and B = diag(1, 0) are not that pair.
 LARGE_NORM_SYSTEM = {
     "schema_version": "1", "kind": "gradient-system", "dim": 2,
     "matrix": {"dim": 2, "rows": [[-1.0, 0.0], [0.0, 0.0]]},
@@ -790,16 +850,21 @@ LARGE_NORM_SYSTEM = {
     ("convexity", "--samples", "10"),
     ("simulate", "--x0", "1,0", "--x0", "0,1", "--t-end", "1"),
 ])
-def test_large_norm_transform_exits_5_without_traceback(workdir, capsys, argv):
+def test_large_norm_transform_is_refused_with_exit_4_without_traceback(workdir, capsys, argv):
+    """The pair check reads ``T``, ``K`` and ``B`` on unit-scaled copies, so it
+    measures this file without overflow (reading 1) and refuses it before
+    ``|T|^2`` is formed.  That overflow is pinned in
+    ``test_geometry.py::test_convexity_constants_of_a_transform_norm_beyond_the_double_range``."""
     tmp_path, write = workdir
     system = write("big.json", LARGE_NORM_SYSTEM)
-    assert run(capsys, "verify", system)[0] == 0
+    code, report, _ = run(capsys, "verify", system)
+    assert code == 0 and report["results"]["canonical_residual"] == pytest.approx(1.0)
     argv = [argv[0], system, *argv[1:]]
     if argv[0] == "simulate":
         argv += ["--out", str(tmp_path / "t.csv")]
     code, report, err = run(capsys, *argv)
-    assert code == 5 and report is None
-    assert "numeric failure" in err and "Traceback" not in err
+    assert code == 4 and report is None
+    assert "not the canonical pair" in err and "Traceback" not in err
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -967,7 +1032,7 @@ def test_write_cut_short_leaves_the_earlier_file_or_none(workdir, capsys, argv, 
     ("convexity", {"svd": 1, "eigvalsh": 3}),
     ("simulate-pair", {"svd": 1, "eigvalsh": 1, "inv": 1}),
     ("simulate-rk4", {"svd": 1, "eigvalsh": 1}),
-    ("simulate-mm", {"svd": 1, "eigvalsh": 1, "inv": 1, "eigh": 1}),
+    ("simulate-mm", {"svd": 1, "eigvalsh": 1, "inv": 1}),
     ("markov-stationary", {"svd": 1}),
     ("markov-reversible", {"svd": 1}),
     ("markov-entropic-verify", {"svd": 1}),
@@ -982,9 +1047,9 @@ def test_factorisation_counts_per_command(workdir, capsys, linalg_counts,
     the one ``eigvalsh`` of every command is the system's semi-definiteness
     check; ``convexity`` adds one for each exact certificate that is a
     symmetric eigenproblem, monotonicity and geodesic convexity.  rk4
-    adds nothing (its step advisory reads the Frobenius norm), mm one
-    ``eigh`` of its modal operator, which gives every step in closed form
-    and its definiteness test.  A chain's one SVD gives its stationary
+    adds nothing (its step advisory reads the Frobenius norm), mm the one
+    ``inv`` of the transform, whose modes give every step in closed form;
+    the check that a loaded pair is canonical adds nothing.  A chain's one SVD gives its stationary
     distribution; the 1000 entropic samples add no factorisation.
     """
     tmp_path, write = workdir
@@ -1043,8 +1108,9 @@ FUZZ_ARGV = st.one_of(
     st.sampled_from(["exact", "rk4", "mm"]).map(
         lambda method: ["simulate", "{system}", "--x0", "{x0}", "--t-end", "1",
                         "--method", method, "--step", "0.5", "--out", "{csv}"]),
-    st.sampled_from(["validate", "stationary", "reversible", "entropic-verify"]).map(
-        lambda sub: ["markov", "{generator}", sub, "--samples", "5"]),
+    st.sampled_from(["validate", "stationary", "reversible"]).map(
+        lambda sub: ["markov", "{generator}", sub]),
+    st.just(["markov", "{generator}", "entropic-verify", "--samples", "5"]),
 )
 FUZZ_OPTIONS = st.lists(st.sampled_from(
     ["--tol", "1e-9", "1e-300", "0.5", "0", "-1", "nan", "x", "--seed", "7"]), max_size=3)

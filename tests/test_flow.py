@@ -14,7 +14,6 @@ from gradflow import (
     metric_distance,
     minimizing_movement_flow,
     nonreversible_three_state,
-    nonreversible_three_state_system,
     real_diagonalise,
     reversible_three_state,
     rk4_flow,
@@ -168,13 +167,12 @@ def test_rk4_detects_blowup():
 
 def test_every_integrator_raises_non_finite_state_at_its_first_bad_node():
     diag, x0 = blowup_diagonalisation()
-    gs = synthesize_canonical(diag)
     with pytest.raises(NonFiniteStateError, match=r"non-finite at t = 1$"):
         exact_trajectory(diag, x0, 1.0, nodes=3)
     with pytest.raises(NonFiniteStateError, match=r"non-finite at t = 0\.999$"):
         rk4_flow(diag.reconstruct(), x0, 1.0, 1e-3)
     with pytest.raises(NonFiniteStateError, match=r"non-finite at t = 0\.58$"):
-        minimizing_movement_flow(gs, diag, x0, 1.0, 1e-3)
+        minimizing_movement_flow(diag, x0, 1.0, 1e-3)
 
 
 def test_rk4_rejects_bad_step():
@@ -185,30 +183,28 @@ def test_rk4_rejects_bad_step():
 
 
 def test_minimizing_movement_without_force_is_constant():
-    gs = CanonicalGradientSystem(np.eye(2), np.zeros((2, 2)), np.zeros(2))
     diag = Diagonalisation(np.eye(2), np.zeros(2))
-    traj = minimizing_movement_flow(gs, diag, [0.3, -0.7], 1.0, 0.1)
+    traj = minimizing_movement_flow(diag, [0.3, -0.7], 1.0, 0.1)
     assert np.allclose(traj.states, [0.3, -0.7])
 
 
 def test_minimizing_movement_scalar_resolvent():
-    # unit mobility and curvature: each step divides by (1 + tau)
-    gs = CanonicalGradientSystem(np.eye(1), np.eye(1), np.zeros(1))
-    diag = Diagonalisation(np.eye(1), np.zeros(1))
+    # unit mobility and curvature (w = -1): each step divides by (1 + tau)
+    diag = Diagonalisation(np.eye(1), [-1.0])
     tau = 0.25
-    traj = minimizing_movement_flow(gs, diag, [1.0], 1.0, tau)
+    traj = minimizing_movement_flow(diag, [1.0], 1.0, tau)
     expected = (1.0 + tau) ** -np.arange(traj.times.size)
     assert np.allclose(traj.states[:, 0], expected, rtol=1e-12)
 
 
 def test_minimizing_movement_first_order_convergence():
-    _, diag, gs = _three_state_setup()
+    _, diag, _ = _three_state_setup()
     x0 = np.array([0.6, 0.3, 0.1])
     target = exact_flow(diag, x0, 1.0)
     coarse = np.linalg.norm(
-        minimizing_movement_flow(gs, diag, x0, 1.0, 0.02).states[-1] - target)
+        minimizing_movement_flow(diag, x0, 1.0, 0.02).states[-1] - target)
     fine = np.linalg.norm(
-        minimizing_movement_flow(gs, diag, x0, 1.0, 0.01).states[-1] - target)
+        minimizing_movement_flow(diag, x0, 1.0, 0.01).states[-1] - target)
     assert 1.8 <= coarse / fine <= 2.2
 
 
@@ -216,7 +212,7 @@ def test_minimizing_movement_one_step_variational_inequality(rng):
     _, diag, gs = _three_state_setup()
     x0 = rng.standard_normal(3)
     tau = 0.05
-    traj = minimizing_movement_flow(gs, diag, x0, 1.0, tau)
+    traj = minimizing_movement_flow(diag, x0, 1.0, tau)
     energies = np.atleast_1d(gs.energy(traj.states))
     scale = max(1.0, np.max(np.abs(energies)))
     for k in range(traj.times.size - 1):
@@ -226,63 +222,51 @@ def test_minimizing_movement_one_step_variational_inequality(rng):
 
 
 def test_minimizing_movement_singular_step():
-    # negative curvature direction: step matrix loses definiteness at tau = 1/2
-    gs = CanonicalGradientSystem(np.eye(1), np.array([[-2.0]]), np.zeros(1))
-    diag = Diagonalisation(np.eye(1), np.zeros(1))
+    # negative curvature direction (w = 2): the step matrix loses definiteness at tau = 1/2
+    diag = Diagonalisation(np.eye(1), [2.0])
     with pytest.raises(SingularStepError):
-        minimizing_movement_flow(gs, diag, [1.0], 2.0, 1.0)
+        minimizing_movement_flow(diag, [1.0], 2.0, 1.0)
     # below the threshold the scheme runs
-    traj = minimizing_movement_flow(gs, diag, [1.0], 1.0, 0.25)
+    traj = minimizing_movement_flow(diag, [1.0], 1.0, 0.25)
     assert np.all(np.isfinite(traj.states))
 
 
 def test_minimizing_movement_singular_step_boundary():
-    # 1 + tau * mu_min = 0 exactly at tau = 1/2; one ulp below, the step is definite
-    gs = CanonicalGradientSystem(np.eye(1), np.array([[-2.0]]), np.zeros(1))
-    diag = Diagonalisation(np.eye(1), np.zeros(1))
+    # 1 - tau * max(w) = 0 exactly at tau = 1/2; one ulp below, the step is definite
+    diag = Diagonalisation(np.eye(1), [2.0])
     with pytest.raises(SingularStepError):
-        minimizing_movement_flow(gs, diag, [1.0], 0.5, 0.5)
+        minimizing_movement_flow(diag, [1.0], 0.5, 0.5)
     tau = np.nextafter(0.5, 0.0)
-    traj = minimizing_movement_flow(gs, diag, [1.0], tau, tau)
+    traj = minimizing_movement_flow(diag, [1.0], tau, tau)
     assert traj.states[-1, 0] == 1.0 / (1.0 - 2.0 * tau)
 
 
 @pytest.mark.parametrize("pair", ["hand-written", "random"])
 def test_minimizing_movement_matches_step_by_step_solves(rng, pair):
-    """The closed form equals the JKO steps ``(T'T + h B) x+ = T'T x + h B eq``.
+    """The modal closed form equals the JKO steps ``(T'T + h B) x+ = T'T x``
+    with the canonical hessian ``B = -T' diag(w) T`` of ``diag``.
 
-    The hessian ``B`` is not the one ``T`` induces (the random one is
-    indefinite), the equilibrium is not zero, and ``t_end`` leaves a shorter
-    last step."""
+    The hand-written case is the non-reversible chain (d = 3); the random
+    ones are planted at d = 1, 12 and 50, with spectra of both signs.  Every
+    ``t_end`` leaves a shorter last step."""
     if pair == "hand-written":
-        system = nonreversible_three_state_system()
-        diag = real_diagonalise(nonreversible_three_state().matrix)
-        onsager, hessian = system.onsager, system.hessian
+        cases = [(real_diagonalise(nonreversible_three_state().matrix), 0.3)]
     else:
-        # rank-4 part minus 0.05 g: indefinite, yet 1 + 0.3 mu > 0 for every mu
-        t = make_transform(rng, 6, cond=4.0)
-        diag = Diagonalisation(t, np.zeros(6))
-        s = rng.standard_normal((6, 4))
-        onsager, hessian = np.eye(6), s @ s.T - 0.05 * (t.T @ t)
-    dim = hessian.shape[0]
-    gs = CanonicalGradientSystem(onsager, hessian, rng.standard_normal(dim))
-    x0 = rng.standard_normal(dim)
-    traj = minimizing_movement_flow(gs, diag, x0, 1.0, 0.3)
-    assert traj.times.size == 5 and traj.times[-1] == 1.0
-    g = diag.transform.T @ diag.transform
-    x, reference = x0, [x0]
-    for h in np.diff(traj.times):
-        x = np.linalg.solve(g + h * hessian, g @ x + h * (hessian @ gs.equilibrium))
-        reference.append(x)
-    np.testing.assert_allclose(traj.states, reference, rtol=1e-12)
-
-
-def test_minimizing_movement_rests_at_shifted_equilibrium():
-    gs = CanonicalGradientSystem(np.diag([2.0, 1.0]), np.diag([1.0, 3.0]),
-                                 np.array([1.0, -2.0]))
-    diag = Diagonalisation(np.diag([1.0, 2.0]), np.zeros(2))
-    traj = minimizing_movement_flow(gs, diag, gs.equilibrium, 1.0, 0.1)
-    assert np.allclose(traj.states, gs.equilibrium, atol=1e-12)
+        # 1 - 0.3 w > 0 for every w in [-2, 1.2]
+        cases = [(Diagonalisation(make_transform(rng, dim, cond=4.0),
+                                  rng.uniform(-2.0, 1.2, dim)), 0.3)
+                 for dim in (1, 12, 50)]
+    for diag, tau in cases:
+        x0 = rng.standard_normal(diag.dim)
+        traj = minimizing_movement_flow(diag, x0, 1.0, tau)
+        assert traj.times.size == 5 and traj.times[-1] == 1.0
+        g = diag.transform.T @ diag.transform
+        hessian = synthesize_canonical(diag).hessian
+        x, reference = x0, [x0]
+        for h in np.diff(traj.times):
+            x = np.linalg.solve(g + h * hessian, g @ x)
+            reference.append(x)
+        np.testing.assert_allclose(traj.states, reference, rtol=1e-12, atol=1e-14)
 
 
 def test_equilibrium_is_fixed_for_all_integrators():
@@ -292,7 +276,7 @@ def test_equilibrium_is_fixed_for_all_integrators():
     assert np.allclose(rk4_flow(matrix, uniform, 1.0, 0.05).states[-1],
                        uniform, atol=1e-12)
     assert np.allclose(
-        minimizing_movement_flow(gs, diag, uniform, 1.0, 0.05).states[-1],
+        minimizing_movement_flow(diag, uniform, 1.0, 0.05).states[-1],
         uniform, atol=1e-10)
 
 
@@ -313,9 +297,9 @@ def _worst_relative_error(states, reference):
 
 
 def test_minimizing_movement_matches_resolvent_closed_form(rng):
-    diag, gs, x0 = _planted_dense(rng)
+    diag, _, x0 = _planted_dense(rng)
     tau = 2.0 ** -6
-    traj = minimizing_movement_flow(gs, diag, x0, 0.5, tau)
+    traj = minimizing_movement_flow(diag, x0, 0.5, tau)
     steps = np.arange(traj.times.size, dtype=float)[:, None]
     reference = _modal_states(diag, x0, (1.0 - tau * diag.eigenvalues) ** -steps)
     assert _worst_relative_error(traj.states, reference) < 5e-13
@@ -333,9 +317,9 @@ def test_rk4_matches_polynomial_closed_form(rng):
 
 
 def test_minimizing_movement_ends_at_horizon_with_shorter_step():
-    _, diag, gs = _three_state_setup()
+    _, diag, _ = _three_state_setup()
     x0 = np.array([1.0, 0.0, 0.0])
-    traj = minimizing_movement_flow(gs, diag, x0, 1.0, 0.3)
+    traj = minimizing_movement_flow(diag, x0, 1.0, 0.3)
     assert traj.times[-1] == 1.0 and traj.times.size == 5
     w = diag.eigenvalues
     remainder = 1.0 - 3 * 0.3  # 0.1 up to rounding

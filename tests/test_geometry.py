@@ -19,7 +19,7 @@ from gradflow import (
     synthesize_canonical,
 )
 
-from gradflow.errors import FlowOverflowError
+from gradflow.errors import ConvexityConstantsError, FlowOverflowError
 
 from conftest import make_diagonalisation, make_transform
 
@@ -104,6 +104,16 @@ def test_constants_vanish_for_generator_spectrum():
     cc = convexity_constants(diag)
     assert cc.sup_eigenvalue == pytest.approx(0.0, abs=1e-12)
     assert abs(cc.geodesic_lambda) <= 1e-12
+
+
+def test_convexity_constants_of_a_transform_norm_beyond_the_double_range():
+    """``T = 1e160 I`` diagonalises ``diag(-1, 0)``, but ``|T|^2`` is beyond the
+    double range: a :class:`ConvexityConstantsError` (exit 5), not an overflow,
+    even under the CLI's ``errstate``."""
+    diag = Diagonalisation(1e160 * np.eye(2), np.array([-1.0, 0.0]))
+    with np.errstate(divide="raise", over="raise", invalid="raise"), \
+            pytest.raises(ConvexityConstantsError, match="not finite doubles"):
+        convexity_constants(diag)
 
 
 def test_constants_direct_equals_transferred_in_both_regimes(rng):
