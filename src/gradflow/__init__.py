@@ -12,6 +12,7 @@ entropy-driven Onsager structure of reversible chains.
 layer module, is imported on first use (PEP 562).
 """
 
+import os
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -38,6 +39,27 @@ _LAYERS = {
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names.split()}
 
 __all__ = sorted(["errors", *_HOME])
+
+
+# The variables that set the BLAS thread count, read once as numpy loads.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _one_blas_thread() -> None:
+    """Set every ``_BLAS_THREADS`` variable to 1 unless the caller set one.
+
+    The CLI process calls it before numpy loads, so its reports do not
+    depend on the core count; ``import gradflow`` never does."""
+    if not any(name in os.environ for name in _BLAS_THREADS):
+        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+
+
+def _script():
+    """The ``gradflow`` console script: :func:`gradflow.cli.run` with one BLAS thread."""
+    _one_blas_thread()
+    from .cli import run
+
+    run()
 
 
 def __getattr__(name: str):

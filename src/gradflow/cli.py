@@ -20,6 +20,11 @@ import warnings as _warnings
 from dataclasses import asdict
 from typing import NoReturn
 
+if __name__ == "__main__":  # python -m gradflow.cli: before numpy loads
+    from . import _one_blas_thread
+
+    _one_blas_thread()
+
 import numpy as np
 
 from .errors import (ColumnSumError, GradFlowError, InputDimensionError,
@@ -391,7 +396,9 @@ def _failure(kind: type[GradFlowError], detail) -> int:
 
 
 def run() -> NoReturn:
-    """The process entry of the ``gradflow`` script and ``python -m gradflow.cli``.
+    """The process entry of ``python -m gradflow.cli`` and, through
+    ``gradflow._script``, of the ``gradflow`` script; both have first set one
+    BLAS thread by ``gradflow._one_blas_thread``, before numpy loaded.
 
     Runs :func:`main`, flushes stderr, and ends the process with ``os._exit``,
     without the interpreter's teardown.  ``main`` has already written and

@@ -225,18 +225,25 @@ def dissipation_audit(gs: CanonicalGradientSystem, traj: Trajectory) -> Dissipat
     nodes by more than ``1e-9 * norm(hessian) * max_k |x_k - eq|^2``, a
     bound on ``2 |F(x_k)|`` (Frobenius norm, unit-scaled as in ``spectral``).
     The defect is the worst interior-node mismatch of the chain rule
-    ``dF/dt = -<grad, onsager grad>`` with the time derivative taken by
-    central differences, so O(dt) is expected for sampled trajectories.
+    ``dF/dt = -<grad, onsager grad>``, relative to ``norm(onsager) *
+    norm(hessian)**2 * max_k |x_k - eq|^2``, with the time derivative taken
+    by central differences, so O(dt) is expected for sampled trajectories.
+    The energy rises, the time steps, the gradients and the onsager operator
+    are read on power-of-two copies, so ``2**k`` changes no verdict.
     """
     energies = np.atleast_1d(gs.energy(traj.states))
-    delta = traj.states - gs.equilibrium
-    hessian, e = _unit_scale(gs.hessian)
-    bound = np.linalg.norm(hessian) * np.max(np.sum(delta * delta, axis=1))
-    monotone = bool(np.all(np.ldexp(np.diff(energies), -e) <= 1e-9 * bound))
+    (delta, ed), (hessian, eb) = map(_unit_scale, (traj.states - gs.equilibrium, gs.hessian))
+    # |B| max_k |x_k - eq|^2 in units of 2**(eb + 2 ed)
+    spread = np.linalg.norm(hessian) * np.max(np.sum(delta * delta, axis=1))
+    monotone = bool(np.all(np.ldexp(np.diff(energies), -eb - 2 * ed) <= 1e-9 * spread))
     if energies.size < 3:
         return DissipationReport(energies, monotone, 0.0)
-    dts = traj.times[2:] - traj.times[:-2]
-    rate = (energies[2:] - energies[:-2]) / dts
-    grads = gs.energy_grad(traj.states[1:-1])
-    defect = float(np.max(np.abs(rate + _quadratic_form(gs.onsager, grads))))
-    return DissipationReport(energies, monotone, defect)
+    (rise, er), (dts, et), (grads, eg), (onsager, ek) = map(_unit_scale, (
+        energies[2:] - energies[:-2], traj.times[2:] - traj.times[:-2],
+        gs.energy_grad(traj.states[1:-1]), gs.onsager))
+    top = ek + 2 * eb + 2 * ed  # the exponent of |K| |B|^2 max_k |x_k - eq|^2
+    mismatch = np.max(np.abs(np.ldexp(rise / dts, er - et - top)
+                             + np.ldexp(_quadratic_form(onsager, grads), 2 * eg + ek - top)))
+    bound = np.linalg.norm(onsager) * np.linalg.norm(hessian) * spread
+    return DissipationReport(energies, monotone,
+                             float(mismatch / bound if bound else mismatch != 0.0))

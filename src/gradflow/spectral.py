@@ -7,7 +7,8 @@ invertible ``t`` and a real vector ``w``; the columns of ``inv(t)`` are
 then unit eigenvectors of ``a``.  Every relative tolerance test in the
 library takes its norms (Frobenius unless stated otherwise) on the
 power-of-two-normalised input of :func:`_unit_scale`: exact, safe from
-overflow and underflow, and so the same for ``a`` and ``2**k a``.
+overflow and underflow, and so the same for ``a`` and ``2**k a``; each
+identity of the construction is measured on such copies by :func:`_identity_defect`.
 Factorisations read the input as given.
 """
 
@@ -178,12 +179,16 @@ def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(m, -e), e
 
 
-def _relative(defect: float, scale: float) -> float:
-    """``defect / scale``; a zero ``scale`` (``a = 0``) reads 0 for a zero
-    defect, else 1: the whole of the other side is defect."""
-    if scale == 0.0:
-        return 0.0 if defect == 0.0 else 1.0
-    return float(defect / scale)
+def _identity_defect(x, x_bound, ex: int, y, y_bound, ey: int) -> float:
+    """``|2**ex x - 2**ey y|_F / max(2**ex x_bound, 2**ey y_bound)``: the one
+    measure of each identity ``x = y`` that the construction certifies, both
+    sides shifted to the larger exponent so that nothing overflows.  A zero
+    scale reads 0 for a zero defect, else 1."""
+    top = max(ex, ey)
+    x, x_bound = np.ldexp(x, ex - top), np.ldexp(x_bound, ex - top)
+    y, y_bound = np.ldexp(y, ey - top), np.ldexp(y_bound, ey - top)
+    defect, scale = np.linalg.norm(x - y), max(x_bound, y_bound)
+    return float(defect / scale if scale else defect != 0.0)
 
 
 def _factorisation_residual(a: np.ndarray, diag: Diagonalisation) -> float:
@@ -191,15 +196,13 @@ def _factorisation_residual(a: np.ndarray, diag: Diagonalisation) -> float:
     ``a = inv(T) diag(w) T`` as ``diag`` claims it: the one measure of that
     identity, forward, converse and loaded.  It needs no inverse.  A true
     factorisation has ``|w|_2 <= |a|_F`` (Schur), so the ``max`` is ``|a|_F``
-    there up to rounding; on any input the measure is at most 2.  ``T``, and
-    ``a`` with ``w``, are read scaled by the exponent of their largest entry,
-    so ``2**k`` changes no bit."""
-    t, f = _unit_scale(diag.transform)
-    e = int(np.frexp(max(np.max(np.abs(a)), np.max(np.abs(diag.eigenvalues))))[1])
-    unit, w = np.ldexp(a, -e), np.ldexp(diag.eigenvalues, -e)
-    defect = np.linalg.norm(t @ unit - w[:, None] * t)
-    scale = max(np.linalg.norm(unit), np.linalg.norm(w))
-    return _relative(defect, np.ldexp(diag.transform_norm, -f) * scale)
+    there up to rounding; on any input the measure is at most 2.  ``T``, ``a``
+    and ``w`` are read on their :func:`_unit_scale` copies, so ``2**k``
+    changes no bit."""
+    (t, f), (unit, e), (w, g) = map(_unit_scale, (diag.transform, a, diag.eigenvalues))
+    t_norm = np.ldexp(diag.transform_norm, -f)
+    return _identity_defect(t @ unit, t_norm * np.linalg.norm(unit), f + e,
+                            w[:, None] * t, t_norm * np.linalg.norm(w), f + g)
 
 
 def _symmetric_part(m: np.ndarray) -> np.ndarray:

@@ -32,8 +32,8 @@ from .spectral import (
     DEFAULT_TOL,
     Diagonalisation,
     _certify_eigenbasis,
+    _identity_defect,
     _is_symmetric,
-    _relative,
     _symmetric_part,
     _unit_scale,
     as_square_matrix,
@@ -91,10 +91,6 @@ class CanonicalGradientSystem:
         """Gradient ``hessian @ (x - eq)``."""
         delta = np.asarray(x, dtype=float) - self.equilibrium
         return delta @ self.hessian.T
-
-    def flow_matrix(self) -> np.ndarray:
-        """The generator of the flow, ``-onsager @ hessian``."""
-        return -self.onsager @ self.hessian
 
 
 @dataclass(frozen=True)
@@ -154,15 +150,6 @@ def synthesize_canonical(diag: Diagonalisation) -> CanonicalGradientSystem:
     return CanonicalGradientSystem(onsager, hessian, np.zeros(diag.dim))
 
 
-def _shifted_defect(x, x_bound, ex: int, y, y_bound, ey: int) -> float:
-    """``|2**ex x - 2**ey y|_F / max(2**ex x_bound, 2**ey y_bound)``, with both
-    sides shifted to the larger exponent so that nothing overflows."""
-    top = max(ex, ey)
-    x, x_bound = np.ldexp(x, ex - top), np.ldexp(x_bound, ex - top)
-    y, y_bound = np.ldexp(y, ey - top), np.ldexp(y_bound, ey - top)
-    return _relative(np.linalg.norm(x - y), max(x_bound, y_bound))
-
-
 def _canonical_residual(diag: Diagonalisation, gs: CanonicalGradientSystem) -> float:
     """Relative defect of ``gs`` as the canonical pair of ``diag``
     (:func:`synthesize_canonical`): the largest of
@@ -180,10 +167,10 @@ def _canonical_residual(diag: Diagonalisation, gs: CanonicalGradientSystem) -> f
     (t, f), (k, g) = _unit_scale(diag.transform), _unit_scale(gs.onsager)
     (b, eb), (w, ew) = _unit_scale(gs.hessian), _unit_scale(diag.eigenvalues)
     t_norm2 = np.ldexp(diag.transform_norm, -f) ** 2
-    onsager = _shifted_defect(t @ k @ t.T, t_norm2 * np.linalg.norm(k), 2 * f + g,
-                              np.eye(diag.dim), np.sqrt(diag.dim), 0)
-    hessian = _shifted_defect(b, np.linalg.norm(b), eb, -(t.T * w) @ t,
-                              t_norm2 * np.linalg.norm(w), 2 * f + ew)
+    onsager = _identity_defect(t @ k @ t.T, t_norm2 * np.linalg.norm(k), 2 * f + g,
+                               np.eye(diag.dim), np.sqrt(diag.dim), 0)
+    hessian = _identity_defect(b, np.linalg.norm(b), eb, -(t.T * w) @ t,
+                               t_norm2 * np.linalg.norm(w), 2 * f + ew)
     return max(onsager, hessian, float(np.any(gs.equilibrium != 0.0)))
 
 
@@ -274,16 +261,18 @@ def linearise_generalised(probe: GeneralisedSystemProbe,
 
 
 def verify_flow_identity(a, gs: CanonicalGradientSystem) -> FlowResidualReport:
-    """Report the relative operator defect of ``a = -onsager @ hessian``.
+    """Report the relative operator defect ``|A + K B|_F / max(|A|_F, |K B|_F)``
+    of ``a = -onsager @ hessian`` (``spectral._identity_defect``).
 
     For quadratic energies the pointwise flow identity is equivalent to this
-    operator identity, so the check is exhaustive rather than sampled.  Both
-    Frobenius norms are taken in the units of ``spectral._unit_scale(a)``;
-    for ``a = 0`` there is no scale, and any defect but 0 reads 1.
+    operator identity, so the check is exhaustive rather than sampled.  ``A``,
+    ``K`` and ``B`` are read on their ``spectral._unit_scale`` copies, so
+    nothing overflows.
     """
     a = as_square_matrix(a)
     if a.shape[0] != gs.dim:
         raise ValueError("matrix dimension does not match the system")
-    unit, e = _unit_scale(a)
-    defect = np.linalg.norm(np.ldexp(a - gs.flow_matrix(), -e))
-    return FlowResidualReport(_relative(defect, np.linalg.norm(unit)), 0)
+    (unit, e), (k, g), (b, h) = map(_unit_scale, (a, gs.onsager, gs.hessian))
+    flow = -k @ b
+    return FlowResidualReport(_identity_defect(unit, np.linalg.norm(unit), e,
+                                               flow, np.linalg.norm(flow), g + h), 0)

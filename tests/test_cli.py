@@ -267,6 +267,24 @@ def test_verify_of_factors_beyond_the_matrix_scale_reads_a_finite_defect(
                                  "canonical_residual": 1.0, "passed": False}
 
 
+@pytest.mark.parametrize("route", ["json", "sidecar"])
+def test_verify_of_a_flow_beyond_the_double_range_reads_a_finite_defect(
+        workdir, capsys, route):
+    """The onsager and hessian ``1e200 I`` make ``K B = 1e400 I``: ``A = -K B`` is
+    read on power-of-two copies, so ``verify`` reports its defect, 1, and fails."""
+    tmp_path, _ = workdir
+    system = str(tmp_path / "system.json")
+    eye = np.eye(3)
+    save_system_document(system, -eye, Diagonalisation(eye, -np.ones(3)),
+                         CanonicalGradientSystem(1e200 * eye, 1e200 * eye, np.zeros(3)))
+    if route == "json":
+        os.remove(system + ".cache")
+    code, report, err = run(capsys, "verify", system)
+    assert (code, err) == (0, "")
+    assert report["results"]["max_residual"] == 1.0
+    assert report["results"]["passed"] is False
+
+
 @pytest.mark.parametrize("k", [-40, 40])
 def test_factorisation_residual_is_the_same_at_any_scale(workdir, capsys, k):
     """``A``, ``w`` and the hessian times ``2**k``: every residual reads the same bits."""
@@ -381,6 +399,32 @@ def test_simulate_rk4_tracks_exact_flow(workdir, capsys):
     target = exact_flow(diag, np.array([1.0, 0.0, 0.0]), 1.0)
     assert np.linalg.norm(np.array(report["results"]["final_state"]) - target) < 1e-10
     assert report["results"]["energy_monotone"] is True
+
+
+@pytest.mark.parametrize("method", ["exact", "mm"])
+def test_simulate_audits_dissipation_alike_at_any_scale(workdir, capsys, method):
+    """``A``, the hessian and the eigenvalues times ``2**k``, run to ``--t-end
+    2**-k``, trace the same trajectory, and the dimensionless defect reads the
+    same: at ``2**600`` the rate overflowed, and at ``2**-600`` it read 0."""
+    tmp_path, write = workdir
+    system = tmp_path / "system.json"
+    run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", str(system))
+    defects = []
+    for k in (-600, 0, 600):
+        def scale(doc):
+            for key in ("matrix", "hessian"):
+                doc[key]["rows"] = np.ldexp(doc[key]["rows"], k).tolist()
+            doc["eigenvalues"] = np.ldexp(doc["eigenvalues"], k).tolist()
+
+        t_end = 2.0 ** -k
+        step = ["--method", "mm", "--step", repr(t_end / 8)] if method == "mm" else []
+        code, report, err = run(capsys, "simulate", _mutated_system(system, f"{k}.json", scale),
+                                "--x0", "1,0,0", "--t-end", repr(t_end), *step,
+                                "--out", str(tmp_path / "t.csv"))
+        assert (code, err) == (0, "")
+        defects.append(report["results"]["dissipation_defect"])
+    assert 0.0 < defects[1] < 1e-2
+    assert defects == pytest.approx([defects[1]] * 3, rel=1e-9)
 
 
 def test_simulate_pair_reports_contraction_defect(workdir, capsys):

@@ -308,7 +308,7 @@ def test_minimizing_movement_matches_resolvent_closed_form(rng):
 def test_rk4_matches_polynomial_closed_form(rng):
     diag, gs, x0 = _planted_dense(rng)
     h = 2.0 ** -9
-    traj = rk4_flow(gs.flow_matrix(), x0, 0.25, h)
+    traj = rk4_flow(-gs.onsager @ gs.hessian, x0, 0.25, h)
     z = h * diag.eigenvalues
     poly = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
     steps = np.arange(traj.times.size, dtype=float)[:, None]

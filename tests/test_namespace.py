@@ -61,6 +61,18 @@ def test_import_gradflow_loads_no_layer_and_no_numpy():
     assert not loaded & {"numpy", *(f"gradflow.{layer}" for layer in LAYERS)}
 
 
+def test_importing_gradflow_and_its_cli_sets_no_environment_variable():
+    """Only the process entry sets the BLAS thread count: an importer keeps its own."""
+    probe = ("import os\n"
+             "for name in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
+             "    os.environ.pop(name, None)\n"
+             "before = dict(os.environ)\n"
+             "import gradflow, gradflow.cli\n"
+             "assert dict(os.environ) == before, dict(os.environ).items() - before.items()")
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+
+
 def test_analyze_loads_only_spectral_and_serialize(tmp_path):
     matrix = tmp_path / "a.json"
     matrix.write_text('{"dim": 2, "rows": [[-1, 0], [0, -2]]}')

@@ -21,11 +21,14 @@ from conftest import make_diagonalisation
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 THREE_STATE_DOC = {"dim": 3, "rows": [[-2, 0, 2], [1, -3, 2], [1, 3, -4]]}
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _cli(*argv, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=(), **popen):
-    """Run ``python -m gradflow.cli argv`` in a fresh interpreter."""
-    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    """Run ``python -m gradflow.cli argv`` in a fresh interpreter, with no BLAS
+    thread count set but those in ``env``."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONUNBUFFERED", *BLAS_THREADS)}
     return subprocess.run([sys.executable, "-m", "gradflow.cli", *argv], cwd=cwd,
                           stdout=stdout, stderr=stderr, text=True,
                           env={**base, "PYTHONPATH": SRC, **dict(env)}, check=False,
@@ -83,8 +86,8 @@ def test_each_exit_code_and_label_from_a_fresh_process(tmp_path, capsys, code, l
         assert len(child.stderr.splitlines()) == 1
 
 
-def test_stdout_and_the_out_copy_are_the_whole_report(tmp_path, capsys, d200):
-    expected = _in_process(capsys, "analyze", d200)
+def test_stdout_and_the_out_copy_are_the_whole_report(tmp_path, d200):
+    expected = _cli("analyze", d200, cwd=tmp_path).stdout
     child = _cli("analyze", d200, "--out", "report.json", cwd=tmp_path)
     assert (child.returncode, child.stderr) == (0, "")
     assert len(child.stdout.encode()) > 8192
@@ -109,6 +112,35 @@ def test_simulate_csv_is_whole(tmp_path, capsys, monkeypatch):
     assert hashlib.sha256(csv).digest() == hashlib.sha256(expected_csv).digest()
 
 
+def test_a_report_does_not_depend_on_the_blas_thread_count(tmp_path, d200):
+    """The process sets one BLAS thread before numpy loads, so an unset count
+    reads the bits of ``=1``; from d = 200 a threaded BLAS changes the last bits."""
+    unset = _cli("analyze", d200, cwd=tmp_path)
+    one = _cli("analyze", d200, cwd=tmp_path, env=dict.fromkeys(BLAS_THREADS, "1"))
+    assert (unset.returncode, one.returncode) == (0, 0)
+    assert _without_timestamp(unset.stdout) == _without_timestamp(one.stdout)
+
+
+@pytest.mark.parametrize("entry", [
+    "runpy.run_module('gradflow.cli', run_name='__main__')", "gradflow._script()"],
+    ids=["python -m gradflow.cli", "console script"])
+@pytest.mark.parametrize("caller, seen", [
+    ({}, "1 1 1"), ({"OMP_NUM_THREADS": "2"}, "None 2 None")], ids=["unset", "caller's 2"])
+def test_the_process_entry_sets_one_blas_thread_unless_the_caller_set_one(
+        tmp_path, entry, caller, seen):
+    """Each entry runs ``--help`` and reports the variables as ``os._exit`` ends it."""
+    probe = ("import os, runpy, sys, gradflow\n"
+             "def _exit(code):\n"
+             f"    print(*map(os.environ.get, {BLAS_THREADS}), file=sys.stderr)\n"
+             "    sys.exit(code)\n"
+             "os._exit, sys.argv = _exit, ['gradflow', '--help']\n" + entry)
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    child = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True,
+                           text=True, env={**base, "PYTHONPATH": SRC, **caller}, check=False)
+    assert (child.returncode, child.stderr) == (0, seen + "\n")
+    assert child.stdout.startswith("usage: gradflow")
+
+
 def test_usage_error_exits_2_and_help_exits_0(tmp_path):
     usage = _cli("analyze", "a.json", "--bogus", cwd=tmp_path)
     assert usage.returncode == 2 and "unrecognized arguments: --bogus" in usage.stderr
@@ -121,7 +153,7 @@ def test_usage_error_exits_2_and_help_exits_0(tmp_path):
 @pytest.mark.parametrize("dim", [3, 200])
 @pytest.mark.parametrize("sink", ["closed pipe", "full device"])
 def test_a_failed_report_write_exits_2_and_leaves_the_out_copy_whole(
-        tmp_path, capsys, d200, sink, dim, unbuffered):
+        tmp_path, d200, sink, dim, unbuffered):
     """A pipe whose read end is closed (EPIPE) or ``/dev/full`` (ENOSPC) on
     stdout: the first failing write or flush, buffered or not, short report
     or over a buffer's length, exits 2 with one line and no traceback, and
@@ -129,7 +161,7 @@ def test_a_failed_report_write_exits_2_and_leaves_the_out_copy_whole(
     if sink == "full device" and not Path("/dev/full").exists():
         pytest.skip("needs /dev/full")
     matrix = d200 if dim == 200 else _write(tmp_path / "a.json", THREE_STATE_DOC)
-    expected = _in_process(capsys, "analyze", matrix)
+    expected = _cli("analyze", matrix, cwd=tmp_path).stdout
     env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
     if sink == "closed pipe":
         read_end, write_end = os.pipe()

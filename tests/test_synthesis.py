@@ -312,6 +312,16 @@ def test_flow_identity_of_a_zero_matrix_is_relative_to_nothing():
         assert verify_flow_identity(np.zeros((2, 2)), gs).max_residual == residual
 
 
+def test_flow_identity_beyond_the_double_range_reads_1_without_a_warning():
+    """``K B = 1e400 I`` leaves the double range: read on power-of-two copies,
+    the identity ``-I = -K B`` fails by the whole of ``K B``, and nothing warns."""
+    eye = np.eye(3)
+    gs = CanonicalGradientSystem(1e200 * eye, 1e200 * eye, np.zeros(3))
+    assert verify_flow_identity(-eye, gs).max_residual == 1.0
+    with pytest.raises(FlowMismatchError):
+        recover_diagonalisation(gs, -eye)
+
+
 def test_flow_identity_report_scales_with_perturbation():
     matrix = nonreversible_three_state().matrix
     gs = nonreversible_three_state_system()
