@@ -43,8 +43,9 @@ from .serialize import (
 from .spectral import (DEFAULT_TOL, _factorisation_residual, inspect_spectrum,
                        real_diagonalise)
 
-# Largest --samples, --nodes or --t-end / --step: each count sizes an array,
-# so a larger one is refused (exit 2) before anything is allocated.
+# Largest --t-end / --step, which sizes an array, so a larger one is refused
+# (exit 2) before anything is allocated; convexity's ignored --samples keeps
+# the same range.
 MAX_COUNT = 2 ** 24
 
 
@@ -84,9 +85,6 @@ def _bounded(kind, low, inclusive: bool, high=math.inf):
         return value
 
     return parse
-
-
-_count = _bounded(int, 0, inclusive=False, high=MAX_COUNT)
 
 
 def _integrator(text: str):
@@ -190,7 +188,7 @@ def _simulate_one(args, matrix, diag, x0):
     if args.step is None:
         if method is not flow.Integrator.EXACT:
             raise InputFormatError(f"--step is required for method {method.value!r}")
-        return flow.exact_trajectory(diag, x0, args.t_end, args.nodes)
+        return flow.exact_trajectory(diag, x0, args.t_end)
     if args.step > args.t_end:
         raise InputFormatError(
             f"--step {args.step:g} exceeds --t-end {args.t_end:g} for method "
@@ -205,11 +203,6 @@ def _simulate_one(args, matrix, diag, x0):
 def cmd_simulate(args) -> dict:
     from . import flow
 
-    if args.step is None:
-        args.nodes = args.nodes or 200  # the exact method's default grid
-    elif args.nodes is not None:
-        raise InputFormatError("--nodes sets the exact method's grid without --step; "
-                               "with --step the nodes are its multiples")
     if args.step is not None and args.t_end > MAX_COUNT * args.step:
         raise InputFormatError(
             f"--t-end / --step exceeds {MAX_COUNT} steps; raise --step")
@@ -246,17 +239,12 @@ def cmd_simulate(args) -> dict:
     # written last, so a failed run leaves no complete-looking trajectory
     write_trajectory_csv(args.out, trajectory)
     options = {"method": args.method.value, "t_end": args.t_end, "step": args.step}
-    if args.step is None:  # only the exact method's node grid reads --nodes
-        options["nodes"] = args.nodes
     return build_report("simulate", digest, options, results, caught)
 
 
 def cmd_markov(args) -> dict:
     from . import markov
 
-    if args.subcommand != "entropic-verify" and (args.samples, args.seed) != (None, None):
-        raise InputFormatError(f"--samples and --seed are read only by entropic-verify, "
-                               f"not {args.subcommand}")
     matrix, digest = load_generator_document(args.input)
     options = {"subcommand": args.subcommand, "tol": args.tol}
 
@@ -279,10 +267,8 @@ def cmd_markov(args) -> dict:
                    "reversible": markov.is_reversible(gen, pi, args.tol),
                    "distribution": pi}
     else:  # entropic-verify
-        options.update(samples=args.samples or 1000, seed=args.seed or 0)
         structure = markov.EntropicStructure.from_generator(gen, args.tol)
-        report = markov.verify_entropic_flow(gen, structure, samples=options["samples"],
-                                             seed=options["seed"], tol=args.tol)
+        report = markov.verify_entropic_flow(gen, structure, tol=args.tol)
         results = {"subcommand": "entropic-verify",
                    "max_residual": report.max_residual,
                    "num_samples": report.num_samples,
@@ -307,12 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "synthesize the gradient system, and certify its geometry.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=None):
+    def common(p):
         p.add_argument("--tol", type=_bounded(float, 0.0, inclusive=False),
                        default=DEFAULT_TOL, help="relative tolerance (default 1e-9)")
-        if seed:  # the help texts of --samples and --seed; unset, they read None
-            p.add_argument("--samples", type=_count, help=seed[0])
-            p.add_argument("--seed", type=_bounded(int, 0, inclusive=True), help=seed[1])
 
     p = sub.add_parser("analyze", help="is the matrix real diagonalisable?")
     p.add_argument("input", help="matrix JSON file")
@@ -337,7 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convexity",
                        help="convexity moduli and exact inequality certificates")
     p.add_argument("input", help="system JSON file")
-    common(p, seed=("ignored: the certificates are exact",) * 2)
+    common(p)
+    p.add_argument("--samples", type=_bounded(int, 0, inclusive=False, high=MAX_COUNT),
+                   help="ignored: the certificates are exact")
+    p.add_argument("--seed", type=_bounded(int, 0, inclusive=True),
+                   help="ignored: the certificates are exact")
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(handler=cmd_convexity)
 
@@ -350,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", type=_integrator, default="exact",
                    help="integrator (default exact)")
     p.add_argument("--step", type=_bounded(float, 0.0, inclusive=False),
-                   help="step size (required for rk4 and mm; exact samples their nodes)")
-    p.add_argument("--nodes", type=_count,
-                   help="exact-method sample count without --step (default 200)")
+                   help="step size (required for rk4 and mm; exact samples its "
+                        "multiples, else 200 nodes)")
     p.add_argument("--out", required=True, help="trajectory CSV to write")
     p.set_defaults(handler=cmd_simulate)
 
@@ -360,10 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="generator JSON file (transposed convention)")
     p.add_argument("subcommand", choices=["validate", "stationary",
                                           "reversible", "entropic-verify"])
-    common(p, seed=("entropic-verify's number of sampled checks (default 1000); "
-                    "refused by the other subcommands",
-                    "entropic-verify's sampling seed, echoed in its report (default 0); "
-                    "refused by the other subcommands"))
+    common(p)
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(handler=cmd_markov)
     return parser

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexityConstantsError
-from .spectral import DEFAULT_TOL, Diagonalisation, _symmetric_part, as_states, guarded_exp
+from .spectral import (DEFAULT_TOL, Diagonalisation, _symmetric_part, _unit_scale, as_states,
+                       guarded_exp)
 from .synthesis import CanonicalGradientSystem
 
 
@@ -86,11 +87,10 @@ def convexity_constants(diag: Diagonalisation) -> ConvexityConstants:
                               flat_factor, geo_factor)
 
 
-def check_strong_monotonicity(gs: CanonicalGradientSystem, flat_lambda: float,
-                              samples: int = 1000, seed: int = 0) -> float:
+def check_strong_monotonicity(gs: CanonicalGradientSystem, flat_lambda: float) -> float:
     """Worst violation of ``<B dx, dx> >= flat_lambda |dx|^2`` per unit ``|dx|^2``,
     ``max(0, flat_lambda - lambda_min(B))``; a correct modulus yields at
-    most numerical noise.  ``samples`` and ``seed`` are ignored.
+    most numerical noise.
     """
     b_min = float(np.linalg.eigvalsh(_symmetric_part(gs.hessian))[0])
     return max(0.0, flat_lambda - b_min)
@@ -106,12 +106,18 @@ def check_geodesic_convexity(gs: CanonicalGradientSystem, diag: Diagonalisation,
     |T dx|^2 - <B dx, dx>)``, largest at ``theta = 1/2``, so its worst case
     is ``max(0, lambda_max(lambda T^T T - B)) / 8``.  ``B = gs.hessian``
     and ``T = diag.transform`` are read separately, so a hessian that does
-    not match its transform shows as a defect.  ``samples`` and ``seed``
-    are ignored.
+    not match its transform shows as a defect.  The gap is formed on the
+    :func:`~gradflow.spectral._unit_scale` copies of ``T`` and ``B`` and the
+    mantissa of ``lambda``, both terms shifted to the larger exponent, so it
+    cannot overflow where the defect itself is a double.  ``samples`` and
+    ``seed`` are ignored.
     """
-    t = diag.transform
-    gap = _symmetric_part(geodesic_lambda * (t.T @ t) - gs.hessian)
-    return max(0.0, float(np.linalg.eigvalsh(gap)[-1])) / 8.0
+    (t, f), (b, eb) = _unit_scale(diag.transform), _unit_scale(gs.hessian)
+    lam, el = np.frexp(geodesic_lambda)
+    top = max(int(el) + 2 * f, eb)
+    gap = np.ldexp(lam * (t.T @ t), int(el) + 2 * f - top) - np.ldexp(b, eb - top)
+    worst = max(0.0, float(np.linalg.eigvalsh(_symmetric_part(gap))[-1])) / 8.0
+    return float(np.ldexp(worst, top))
 
 
 def contraction_defect(gaps, d0, geodesic_lambda: float, times) -> float:
@@ -132,18 +138,21 @@ def check_contraction(diag: Diagonalisation, geodesic_lambda: float,
     per unit starting distance.
 
     ``times`` defaults to ``0.1, 1, 10`` in units of ``1/max|w|`` (unit time
-    when ``w = 0``), so the scale of ``A`` drops out.  The exact flow moves
+    when ``w = 0``), so the scale of ``A`` drops out: the probe then reads
+    ``w / max|w|`` and ``lambda / max|w|`` at ``0.1, 1, 10``, and never forms
+    ``1/max|w|``, which overflows for a tiny spectrum.  The exact flow moves
     ``z = T (x2 - x1)`` to ``exp(t w) * z``, so the worst growth of ``|z|``
     is ``max_i exp(t w_i)``, whose :func:`contraction_defect` against a unit
     ``|z|`` is maximised over times.  Raises
     :class:`~gradflow.errors.FlowOverflowError` when some ``t * w_i``
     exceeds the exp range.  ``pairs`` and ``seed`` are ignored.
     """
+    w = diag.eigenvalues
     if times is None:
-        unit = float(np.max(np.abs(diag.eigenvalues))) or 1.0
-        times = (0.1 / unit, 1.0 / unit, 10.0 / unit)
+        unit = float(np.max(np.abs(w))) or 1.0
+        w, geodesic_lambda, times = w / unit, geodesic_lambda / unit, (0.1, 1.0, 10.0)
     times = np.asarray(times, dtype=float)
-    growth = guarded_exp(np.max(np.multiply.outer(times, diag.eigenvalues), axis=1))
+    growth = guarded_exp(np.max(np.multiply.outer(times, w), axis=1))
     return contraction_defect(growth, 1.0, geodesic_lambda, times)
 
 

@@ -82,9 +82,11 @@ class CanonicalGradientSystem:
         return self.onsager.shape[0]
 
     def energy(self, x) -> float | np.ndarray:
-        """Quadratic energy ``<hessian (x - eq), x - eq> / 2``; accepts batches of rows."""
+        """Quadratic energy ``<hessian (x - eq), x - eq> / 2``; accepts batches of rows.
+        The hessian is halved first, so an energy that is a double never
+        passes through ``2 F``."""
         delta = np.asarray(x, dtype=float) - self.equilibrium
-        energy = _quadratic_form(self.hessian, delta) / 2.0
+        energy = _quadratic_form(self.hessian / 2.0, delta)
         return float(energy) if delta.ndim == 1 else energy
 
     def energy_grad(self, x) -> np.ndarray:

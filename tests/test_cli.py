@@ -370,6 +370,53 @@ def test_convexity_probe_times_scale_with_the_spectrum(workdir, capsys):
     assert results["contraction_violation"] <= 1e-12 * np.exp(10.0)
 
 
+@pytest.mark.parametrize("rows, k", [
+    ([[1.0, 0.0], [0.0, -1.0]], 1022),
+    ([[1.0, 1.0], [-1.0 + 1e-6, -1.0]], -1010),
+], ids=["top", "bottom"])
+def test_convexity_reads_the_same_moduli_at_the_ends_of_the_double_range(
+        workdir, capsys, rows, k):
+    """``2**k A`` and ``2**(k ± 1) A`` read the same moduli up to that power of
+    two.  At the top, ``lambda T.T T`` and ``B`` are each near the largest
+    double, so their difference is not; at the bottom (kappa about 2000,
+    every entry normal), the probe time ``10 / max|w|`` is not a double."""
+    tmp_path, write = workdir
+    step = 1 if k > 0 else -1
+    readings = []
+    for power in (k, k + step):
+        matrix = write("a.json", {"dim": 2, "rows": np.ldexp(rows, power).tolist()})
+        system = str(tmp_path / "system.json")
+        assert run(capsys, "synthesize", matrix, "--out", system)[0] == 0
+        code, report, err = run(capsys, "convexity", system)
+        assert (code, err) == (0, "")
+        readings.append(report["results"])
+    for key in ("sup_eigenvalue", "flat_lambda", "geodesic_lambda"):
+        assert readings[1][key] == np.ldexp(readings[0][key], step)
+    for key in ("flat_factor", "geodesic_factor", "monotonicity_violation",
+                "geodesic_violation", "contraction_violation"):
+        assert readings[1][key] == readings[0][key]
+
+
+@pytest.mark.parametrize("method, k", [("mm", 1020), ("exact", 1021)])
+def test_simulate_energy_near_the_top_of_the_double_range(workdir, capsys, method, k):
+    """The energy of ``2**k diag(1, -1)`` from ``x0 = 1,1`` doubles with ``k``
+    up to about -1.6e308, where ``<B x, x> = 2 F`` is no longer a double."""
+    tmp_path, write = workdir
+    energies = []
+    for power in (k, k + 1):
+        matrix = write("a.json", {"dim": 2, "rows": np.ldexp([[1.0, 0.0], [0.0, -1.0]],
+                                                             power).tolist()})
+        system = str(tmp_path / "system.json")
+        assert run(capsys, "synthesize", matrix, "--out", system)[0] == 0
+        step = ["--step", repr(2.0 ** (-power - 3))] if method == "mm" else []
+        code, report, err = run(capsys, "simulate", system, "--x0=1,1", "--t-end",
+                                repr(2.0 ** -power), "--method", method, *step,
+                                "--out", str(tmp_path / "t.csv"))
+        assert (code, err) == (0, "")
+        energies.append(report["results"]["energy_final"])
+    assert energies[1] == 2.0 * energies[0] < -8e307
+
+
 def test_simulate_exact_zero_horizon_single_row(workdir, capsys):
     tmp_path, write = workdir
     system = str(tmp_path / "system.json")
@@ -452,7 +499,7 @@ def test_simulate_pair_start_contributes_no_defect(workdir, capsys):
         assert run(capsys, "synthesize", matrix, "--out", system)[0] == 0
         starts = [",".join(map(repr, rng.standard_normal(12).tolist())) for _ in range(2)]
         code, report, _ = run(capsys, "simulate", system, *(f"--x0={x}" for x in starts),
-                              "--t-end", "1", "--nodes", "5",
+                              "--t-end", "1", "--step", "0.25",
                               "--out", str(tmp_path / "t.csv"))
         assert code == 0
         assert report["results"]["contraction_defect"] == 0.0
@@ -506,7 +553,7 @@ def test_simulate_exact_runs_past_the_exp_range_of_a_mode_left_at_zero(workdir, 
                "--out", system)[0] == 0
     csv = tmp_path / "t.csv"
     argv = ["simulate", system, f"--x0={x0}", "--t-end", "800", "--out", str(csv)]
-    code, report, err = run(capsys, *argv, "--method", "exact", "--nodes", "5")
+    code, report, err = run(capsys, *argv, "--method", "exact", "--step", "200")
     assert (code, err) == (0, "")
     assert report["results"]["final_state"] == [0.0, 0.0]
     rows = np.loadtxt(csv, delimiter=",", skiprows=1)
@@ -519,7 +566,7 @@ def test_simulate_exact_runs_past_the_exp_range_of_a_mode_left_at_zero(workdir, 
 
 
 @pytest.mark.parametrize("method, node", [
-    (["--nodes", "3"], "1"),
+    (["--step", "0.5"], "1"),
     (["--method", "rk4", "--step", "0.001"], "0.999"),
     (["--method", "mm", "--step", "0.001"], "0.58"),
 ])
@@ -605,13 +652,12 @@ def test_markov_subcommands(workdir, capsys):
     assert np.allclose(report["results"]["distribution"], 1.0 / 3.0)
     code, report, _ = run(capsys, "markov", gen, "reversible")
     assert code == 0 and report["results"]["reversible"] is True
-    for argv, samples in (([], 1000), (["--samples", "100"], 100)):  # the default first
-        code, report, _ = run(capsys, "markov", gen, "entropic-verify", *argv)
-        assert code == 0
-        assert report["results"]["num_samples"] == samples
-        assert report["results"]["max_residual"] <= 1e-9
-        assert report["results"]["passed"] is True
-        jsonschema.validate(report, REPORT_SCHEMA)
+    code, report, _ = run(capsys, "markov", gen, "entropic-verify")
+    assert code == 0
+    assert report["results"]["num_samples"] == 1000
+    assert report["results"]["max_residual"] <= 1e-9
+    assert report["results"]["passed"] is True
+    jsonschema.validate(report, REPORT_SCHEMA)
 
 
 def test_markov_nonreversible_findings_and_errors(workdir, capsys):
@@ -670,40 +716,58 @@ def test_markov_requires_convention_marker(workdir, capsys):
     assert "convention" in err
 
 
-SIMULATE = ["simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--nodes", "9",
-            "--out", "{csv}"]
+SIMULATE = ["simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--out", "{csv}"]
 
 
-@pytest.mark.parametrize("argv, keys", [
-    (["markov", "{gen}", "validate", "--samples", "7", "--seed", "3", "--out", "{out}"], None),
-    (["markov", "{gen}", "stationary", "--samples", "7", "--out", "{out}"], None),
-    (["markov", "{gen}", "reversible", "--seed", "3", "--out", "{out}"], None),
-    (["markov", "{gen}", "entropic-verify", "--samples", "7", "--seed", "3", "--out", "{out}"],
-     ["subcommand", "tol", "samples", "seed"]),
-    (SIMULATE, ["method", "t_end", "step", "nodes"]),
-    (SIMULATE + ["--step", "0.5"], None),
-], ids=["validate", "stationary", "reversible", "entropic-verify", "simulate-nodes",
-        "simulate-step"])
-def test_report_options_hold_only_the_settings_that_took_effect(workdir, capsys, argv, keys):
-    """``--samples`` and ``--seed`` feed only ``entropic-verify``, and ``--nodes``
-    only the exact method's node grid without ``--step``, so only those reports
-    echo them.  Given anywhere else, each is refused (``keys`` None): exit 2,
-    one stderr line and no output file."""
+def _options_fields(workdir, capsys):
+    """A generator file, a synthesized system file, and the ``--out`` paths."""
     tmp_path, write = workdir
     fields = {"gen": write("gen.json", {"convention": "transposed", "dim": 3,
                                         "rows": reversible_three_state().matrix.tolist()}),
               "system": str(tmp_path / "system.json"), "csv": str(tmp_path / "t.csv"),
               "out": str(tmp_path / "report.json")}
     run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", fields["system"])
+    return fields
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["markov", "{gen}", "validate", "--out", "{out}"], ["subcommand", "tol"]),
+    (["markov", "{gen}", "entropic-verify", "--out", "{out}"], ["subcommand", "tol"]),
+    (["convexity", "{system}", "--samples", "7", "--seed", "3", "--out", "{out}"], ["tol"]),
+    (SIMULATE, ["method", "t_end", "step"]),
+    (SIMULATE + ["--step", "0.5"], ["method", "t_end", "step"]),
+], ids=["validate", "entropic-verify", "convexity", "simulate", "simulate-step"])
+def test_report_options_hold_only_the_settings_that_took_effect(workdir, capsys, argv, keys):
+    """``convexity``'s ``--samples`` and ``--seed`` are ignored, so its report
+    echoes neither; every other report echoes each of its settings."""
+    fields = _options_fields(workdir, capsys)
+    code, report, _ = run(capsys, *(part.format(**fields) for part in argv))
+    assert code == 0
+    assert list(report["options"]) == keys
+
+
+@pytest.mark.parametrize("argv", [
+    ["markov", "{gen}", "validate", "--samples", "7", "--seed", "3", "--out", "{out}"],
+    ["markov", "{gen}", "entropic-verify", "--samples", "5", "--out", "{out}"],
+    ["markov", "{gen}", "entropic-verify", "--seed", "3", "--out", "{out}"],
+    SIMULATE + ["--nodes", "5"],
+    SIMULATE + ["--step", "0.5", "--nodes", "9"],
+], ids=["validate", "entropic-verify-samples", "entropic-verify-seed", "simulate-nodes",
+        "simulate-step-nodes"])
+def test_removed_flags_are_usage_errors(workdir, capsys, argv):
+    """``simulate --nodes`` and ``markov --samples``/``--seed`` are gone: each
+    exits 2 as an argparse usage error, writes no file, and no help names it."""
+    tmp_path, _ = workdir
+    fields = _options_fields(workdir, capsys)
     before = sorted(tmp_path.iterdir())
-    code, report, err = run(capsys, *(part.format(**fields) for part in argv))
-    if keys is None:
-        assert (code, report) == (2, None)
-        assert err.startswith("gradflow: parse error: --") and err.count("\n") == 1
-        assert sorted(tmp_path.iterdir()) == before
-    else:
-        assert code == 0
-        assert list(report["options"]) == keys
+    with pytest.raises(SystemExit) as exc:
+        main([part.format(**fields) for part in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert not {"--nodes", "--samples", "--seed"} & set(capsys.readouterr().out.split())
 
 
 def test_reports_are_deterministic_modulo_timestamp(workdir, capsys):
@@ -727,7 +791,7 @@ def test_inputs_digest_names_the_input_that_out_overwrites(workdir, capsys, comm
         system = str(tmp_path / "system.json")
         assert main(["synthesize", path, "--out", system]) == 0
         capsys.readouterr()
-        path, extra = system, ["--x0", "1,0,0", "--t-end", "1", "--nodes", "3"]
+        path, extra = system, ["--x0", "1,0,0", "--t-end", "1", "--step", "0.5"]
     before = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     code, report, _ = run(capsys, command, path, *extra, "--out", path)
     assert code == 0
@@ -741,13 +805,13 @@ def test_trajectory_csv_roundtrips_doubles(workdir, capsys):
     run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", system)
     csv = tmp_path / "traj.csv"
     run(capsys, "simulate", system, "--x0", "0.1,0.7,0.2", "--t-end", "1",
-        "--nodes", "7", "--out", str(csv))
+        "--out", str(csv))
     from gradflow import exact_trajectory, real_diagonalise
 
     diag = real_diagonalise(np.array(THREE_STATE_DOC["rows"], dtype=float))
-    traj = exact_trajectory(diag, np.array([0.1, 0.7, 0.2]), 1.0, nodes=7)
+    traj = exact_trajectory(diag, np.array([0.1, 0.7, 0.2]), 1.0)
     lines = csv.read_text().strip().splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 201
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.array_equal(parsed[:, 0], traj.times)
     assert np.array_equal(parsed[:, 1:], traj.states)
@@ -767,8 +831,8 @@ HUGE = "1" + "0" * 21  # 1e21 as an integer
 
 @pytest.mark.parametrize("argv", [
     ("convexity", "{system}", "--samples", "0"),
-    ("markov", "{generator}", "entropic-verify", "--samples", "0"),
-    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--nodes", "0"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "nan"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--step", "inf"),
     ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "-1"),
     ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--method", "mm",
      "--step", "0"),
@@ -789,11 +853,11 @@ HUGE = "1" + "0" * 21  # 1e21 as an integer
      "--step", "1e-300"),
     ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--method", "mm",
      "--step", "1e-300"),
-    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--nodes", HUGE),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", HUGE, "--step", "1"),
     ("convexity", "{system}", "--samples", HUGE),
     ("convexity", "{system}", "--samples", "1" + "0" * 400),
-    ("markov", "{generator}", "entropic-verify", "--samples", HUGE),
-    ("markov", "{generator}", "entropic-verify", "--seed", "-1"),
+    ("analyze", "{matrix}", "--tol", "1e400"),
+    ("convexity", "{system}", "--seed", "-1"),
     ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--method", "exact",
      "--step", "2"),
     ("simulate", "{system}", "--x0", "1,0,0", "--x0", "0,1,0", "--x0", "0,0,1",
@@ -1152,9 +1216,8 @@ FUZZ_ARGV = st.one_of(
     st.sampled_from(["exact", "rk4", "mm"]).map(
         lambda method: ["simulate", "{system}", "--x0", "{x0}", "--t-end", "1",
                         "--method", method, "--step", "0.5", "--out", "{csv}"]),
-    st.sampled_from(["validate", "stationary", "reversible"]).map(
+    st.sampled_from(["validate", "stationary", "reversible", "entropic-verify"]).map(
         lambda sub: ["markov", "{generator}", sub]),
-    st.just(["markov", "{generator}", "entropic-verify", "--samples", "5"]),
 )
 FUZZ_OPTIONS = st.lists(st.sampled_from(
     ["--tol", "1e-9", "1e-300", "0.5", "0", "-1", "nan", "x", "--seed", "7"]), max_size=3)
@@ -1183,12 +1246,7 @@ def _exit_code(argv):
 @example(rows=[[-2e200, 0.0, 2e200], [1e200, -3e200, 2e200], [1e200, 3e200, -4e200]],
          argv=["synthesize", "{matrix}", "--out", "{system}"], options=[])
 @example(rows=[[-1.0, 1.0], [1.0, -1.0]],
-         argv=["markov", "{generator}", "entropic-verify", "--samples", HUGE], options=[])
-@example(rows=[[-1.0, 1.0], [1.0, -1.0]],
          argv=["convexity", "{system}", "--samples", HUGE], options=[])
-@example(rows=[[-1.0, 1.0], [1.0, -1.0]],
-         argv=["simulate", "{system}", "--x0", "{x0}", "--t-end", "1",
-               "--nodes", HUGE, "--out", "{csv}"], options=[])
 @example(rows=[[-1.0, 1.0], [1.0, -1.0]],
          argv=["simulate", "{system}", "--x0", "{x0}", "--t-end", "1", "--method",
                "exact", "--step", "1e-300", "--out", "{csv}"], options=[])

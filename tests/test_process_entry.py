@@ -100,7 +100,7 @@ def test_simulate_csv_is_whole(tmp_path, capsys, monkeypatch):
     _in_process(capsys, "synthesize", _write(tmp_path / "a.json", THREE_STATE_DOC),
                 "--out", "sys.json")
     argv = ["simulate", "sys.json", "--x0", "1,0,0", "--x0", "0,1,0", "--t-end", "2",
-            "--nodes", "2000", "--out", "t.csv"]
+            "--step", "0.001", "--out", "t.csv"]
     expected = _in_process(capsys, *argv)
     expected_csv = (tmp_path / "t.csv").read_bytes()
     (tmp_path / "t.csv").unlink()
@@ -108,7 +108,7 @@ def test_simulate_csv_is_whole(tmp_path, capsys, monkeypatch):
     assert (child.returncode, child.stderr) == (0, "")
     assert _without_timestamp(child.stdout) == _without_timestamp(expected)
     csv = (tmp_path / "t.csv").read_bytes()
-    assert len(csv) > 8192 and csv.count(b"\n") == 2001
+    assert len(csv) > 8192 and csv.count(b"\n") == 2002
     assert hashlib.sha256(csv).digest() == hashlib.sha256(expected_csv).digest()
 
 
