@@ -3,9 +3,10 @@
 Exit code 0: the command completed (findings such as "not diagonalisable"
 are results, not errors).  A failure exits with the code and label of its
 class in :mod:`gradflow.errors`; numpy's linear-algebra and floating-point
-errors and ``MemoryError`` count as numeric failures (5).  Reports are
-printed to stdout as deterministic JSON; a report's ``options`` holds only
-the settings that took effect.  :func:`main` returns the exit code;
+errors and ``MemoryError`` count as numeric failures (5).  A report goes
+to stdout once, as deterministic JSON, after the file that ``--out`` names
+(``synthesize``'s system, ``simulate``'s CSV) is whole; its ``options`` holds
+only the settings that took effect.  :func:`main` returns the exit code;
 :func:`run`, the process entry, ends the process as soon as the output is
 flushed.
 """
@@ -37,7 +38,6 @@ from .serialize import (
     render_json,
     save_system_document,
     write_stdout,
-    write_text,
     write_trajectory_csv,
 )
 from .spectral import (DEFAULT_TOL, _factorisation_residual, inspect_spectrum,
@@ -188,6 +188,9 @@ def _simulate_one(args, matrix, diag, x0):
     if args.step is None:
         if method is not flow.Integrator.EXACT:
             raise InputFormatError(f"--step is required for method {method.value!r}")
+        if args.t_end and np.min(np.diff(np.linspace(0.0, args.t_end, 200))) <= 0.0:
+            raise InputFormatError(f"--t-end {args.t_end:g} is too short for 200 "
+                                   "distinct nodes; give --step")
         return flow.exact_trajectory(diag, x0, args.t_end)
     if args.step > args.t_end:
         raise InputFormatError(
@@ -300,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="is the matrix real diagonalisable?")
     p.add_argument("input", help="matrix JSON file")
     common(p)
-    p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("synthesize",
@@ -314,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check a system file's flow identity and factorisation")
     p.add_argument("input", help="system JSON file")
     common(p)
-    p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("convexity",
@@ -323,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--samples", type=_bounded(int, 0, inclusive=False, high=MAX_COUNT),
                    help="ignored: the certificates are exact")
-    p.add_argument("--seed", type=_bounded(int, 0, inclusive=True),
-                   help="ignored: the certificates are exact")
-    p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(handler=cmd_convexity)
 
     p = sub.add_parser("simulate", help="integrate the flow and audit dissipation")
@@ -347,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("subcommand", choices=["validate", "stationary",
                                           "reversible", "entropic-verify"])
     common(p)
-    p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(handler=cmd_markov)
     return parser
 
@@ -357,10 +354,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         with np.errstate(divide="raise", over="raise", invalid="raise"):  # so exit 5
             text = render_json(args.handler(args))
-        out_report = getattr(args, "out", None)
-        if out_report and args.command not in ("synthesize", "simulate"):
-            write_text(out_report, (text, "\n"))
-        write_stdout(text + "\n")  # last: every --out file is whole by now
+        write_stdout(text + "\n")  # last: the --out product is whole by now
     except GradFlowError as exc:
         return _failure(type(exc), exc)
     except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:

@@ -128,7 +128,7 @@ def _step_times(t_end: float, step: float) -> tuple[np.ndarray, float]:
     n_full = int(np.floor(t_end / step + 1e-12))
     times = step * np.arange(n_full + 1)
     remainder = t_end - times[-1]
-    if remainder < 1e-12 * t_end:
+    if remainder <= 1e-12 * t_end:
         times[-1] = t_end
         return times, step
     return np.append(times, t_end), remainder
@@ -226,8 +226,9 @@ def dissipation_audit(gs: CanonicalGradientSystem, traj: Trajectory) -> Dissipat
     bound on ``2 |F(x_k)|`` (Frobenius norm, unit-scaled as in ``spectral``).
     The defect is the worst interior-node mismatch of the chain rule
     ``dF/dt = -<grad, onsager grad>``, relative to ``norm(onsager) *
-    norm(hessian)**2 * max_k |x_k - eq|^2``, with the time derivative taken
-    by central differences, so O(dt) is expected for sampled trajectories.
+    norm(hessian)**2 * max_k |x_k - eq|^2`` plus the rounding of the energy
+    difference, ``(d + 2) 2**-53 norm(hessian) max_k |x_k - eq|^2 / dt_k``,
+    with ``dF/dt`` taken by central differences, so O(dt) is expected.
     The energy rises, the time steps, the gradients and the onsager operator
     are read on power-of-two copies, so ``2**k`` changes no verdict.
     """
@@ -241,9 +242,13 @@ def dissipation_audit(gs: CanonicalGradientSystem, traj: Trajectory) -> Dissipat
     (rise, er), (dts, et), (grads, eg), (onsager, ek) = map(_unit_scale, (
         energies[2:] - energies[:-2], traj.times[2:] - traj.times[:-2],
         gs.energy_grad(traj.states[1:-1]), gs.onsager))
-    top = ek + 2 * eb + 2 * ed  # the exponent of |K| |B|^2 max_k |x_k - eq|^2
-    mismatch = np.max(np.abs(np.ldexp(rise / dts, er - et - top)
-                             + np.ldexp(_quadratic_form(onsager, grads), 2 * eg + ek - top)))
-    bound = np.linalg.norm(onsager) * np.linalg.norm(hessian) * spread
+    # exponents of |K| |B|^2 max_k |x_k - eq|^2 and of |B| max_k |x_k - eq|^2 / dt
+    bound, noise = ek + 2 * eb + 2 * ed, eb + 2 * ed - et
+    top = max(bound, noise)
+    mismatch = np.abs(np.ldexp(rise / dts, er - et - top)
+                      + np.ldexp(_quadratic_form(onsager, grads), 2 * eg + ek - top))
+    scale = (np.ldexp(np.linalg.norm(onsager) * np.linalg.norm(hessian) * spread, bound - top)
+             + np.ldexp((gs.dim + 2) * 2.0 ** -53 * spread / dts, noise - top))
+    # spread = 0 only where x = eq at every node or B = 0: no energy, no mismatch
     return DissipationReport(energies, monotone,
-                             float(mismatch / bound if bound else mismatch != 0.0))
+                             float(np.max(mismatch / scale)) if spread else 0.0)

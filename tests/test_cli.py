@@ -167,8 +167,8 @@ def test_verify_fails_a_transform_that_does_not_factor_the_matrix(workdir, capsy
 
 @pytest.mark.parametrize("route", ["json", "sidecar"])
 @pytest.mark.parametrize("argv", [
-    ["convexity", "--out", "report.json"],
-    ["simulate", "--x0", "1,0,0", "--t-end", "3", "--out", "t.csv"],
+    ["convexity"],
+    ["simulate", "--x0", "1,0,0", "--t-end", "3", "--out", "{csv}"],
 ], ids=["convexity", "simulate"])
 def test_a_system_that_does_not_factor_its_matrix_exits_4_before_any_output(
         workdir, capsys, argv, route):
@@ -188,12 +188,12 @@ def test_a_system_that_does_not_factor_its_matrix_exits_4_before_any_output(
         assert Path(bad + ".cache").exists()
     before = sorted(os.listdir(tmp_path))
     command, *options = argv
-    out = str(tmp_path / options[-1])
-    code, report, err = run(capsys, command, bad, *options[:-1], out)
+    code, report, err = run(capsys, command, bad,
+                            *(part.format(csv=tmp_path / "t.csv") for part in options))
     assert (code, report) == (4, None)
     assert err.startswith(f"gradflow: precondition failed: {bad}: transform and "
                           "eigenvalues do not factor the matrix (residual ")
-    assert sorted(os.listdir(tmp_path)) == before  # no --out file
+    assert sorted(os.listdir(tmp_path)) == before  # no new file
 
 
 def _non_canonical_records(kind: str):
@@ -233,7 +233,7 @@ def test_a_system_that_is_not_the_canonical_pair_of_its_factorisation_exits_4(
     assert results["factorisation_residual"] <= 1e-15
     assert results["canonical_residual"] > 1e-9 and results["passed"] is False
     before = sorted(os.listdir(tmp_path))
-    for argv in (["convexity", system, "--out", str(tmp_path / "report.json")],
+    for argv in (["convexity", system],
                  ["simulate", system, "--x0", "1,0,0", "--t-end", "1", "--method", "mm",
                   "--step", "0.25", "--out", str(tmp_path / "t.csv")]):
         code, report, err = run(capsys, *argv)
@@ -241,7 +241,7 @@ def test_a_system_that_is_not_the_canonical_pair_of_its_factorisation_exits_4(
         assert err.startswith(f"gradflow: precondition failed: {system}: onsager, hessian "
                               "and equilibrium are not the canonical pair of transform "
                               "and eigenvalues (residual ")
-        assert sorted(os.listdir(tmp_path)) == before  # no --out file
+        assert sorted(os.listdir(tmp_path)) == before  # no new file
 
 
 @pytest.mark.parametrize("fields, defect", [
@@ -325,7 +325,7 @@ def test_convexity_command_reports_certificates(workdir, capsys):
     tmp_path, write = workdir
     out = str(tmp_path / "system.json")
     run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", out)
-    code, report, _ = run(capsys, "convexity", out, "--seed", "0")
+    code, report, _ = run(capsys, "convexity", out)
     assert code == 0
     results = report["results"]
     assert results["monotonicity_violation"] == 0.0
@@ -333,9 +333,9 @@ def test_convexity_command_reports_certificates(workdir, capsys):
     assert results["contraction_violation"] <= 1e-9
     assert results["spectrum_nonpositive"] is True
     jsonschema.validate(report, REPORT_SCHEMA)
-    # the certificates are exact: --samples and --seed change no byte
+    # the certificates are exact: --samples changes no byte
     texts = []
-    for argv in (["--seed", "0"], ["--seed", "7", "--samples", "3"]):
+    for argv in ([], ["--samples", "3"]):
         assert main(["convexity", out, *argv]) == 0
         texts.append(re.sub(r'\n *"generated_at": [^\n]*', "", capsys.readouterr().out))
     assert texts[0] == texts[1]
@@ -472,6 +472,56 @@ def test_simulate_audits_dissipation_alike_at_any_scale(workdir, capsys, method)
         defects.append(report["results"]["dissipation_defect"])
     assert 0.0 < defects[1] < 1e-2
     assert defects == pytest.approx([defects[1]] * 3, rel=1e-9)
+
+
+@pytest.mark.parametrize("method", ["exact", "mm"])
+def test_dissipation_defect_reads_below_1_where_the_energy_rise_is_rounding(
+        workdir, capsys, method):
+    """On horizons of 1e-200 and 1e-300 the energy changes between nodes by
+    less than its own rounding; the denominator's rounding term keeps the
+    defect below 1 there, and at ``--t-end 1`` it moves the defect by less
+    than 1e-12 relative."""
+    tmp_path, write = workdir
+    system = str(tmp_path / "system.json")
+    run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", system)
+    defects = []
+    for t_end in (1.0, 1e-200, 1e-300):
+        step = ["--step", repr(t_end / 64)] if method == "mm" else []
+        code, report, err = run(capsys, "simulate", system, "--x0", "0.6,0.3,0.1",
+                                "--t-end", repr(t_end), "--method", method, *step,
+                                "--out", str(tmp_path / "t.csv"))
+        assert (code, err) == (0, "")
+        defects.append(report["results"]["dissipation_defect"])
+    before = {"exact": 7.592325849078076e-06, "mm": 0.0005063393937477352}[method]
+    assert defects[0] == pytest.approx(before, rel=1e-12)
+    assert max(defects[1:]) <= 1.0
+
+
+@pytest.mark.parametrize("method, t_end, step", [
+    ("exact", "5e-324", None),
+    *[(method, t_end, step) for method in ("exact", "rk4", "mm")
+      for t_end, step in (("5e-324", "5e-324"), ("1e-321", "5e-324"), ("1e-321", "1e-321"))],
+])
+def test_simulate_on_subnormal_grids_exits_0_with_increasing_nodes_or_2(
+        workdir, capsys, method, t_end, step):
+    """A step that divides a subnormal horizon exactly ends the grid at
+    ``--t-end`` once; 200 uniform nodes below about 1e-319 repeat, so ``exact``
+    without ``--step`` refuses such a horizon with exit 2."""
+    tmp_path, write = workdir
+    system = str(tmp_path / "system.json")
+    run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", system)
+    csv = tmp_path / "t.csv"
+    code, report, err = run(capsys, "simulate", system, "--x0", "0.6,0.3,0.1",
+                            "--t-end", t_end, "--method", method,
+                            *(["--step", step] if step else []), "--out", str(csv))
+    if step is None:
+        assert (code, report, csv.exists()) == (2, None, False)
+        assert err.startswith("gradflow: parse error: --t-end 4.94066e-324 is too short ")
+        return
+    assert (code, err) == (0, "")
+    times = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+    assert times[-1] == float(t_end) and np.all(np.diff(times) > 0.0)
+    assert times.size == report["results"]["nodes"] == round(float(t_end) / float(step)) + 1
 
 
 def test_simulate_pair_reports_contraction_defect(workdir, capsys):
@@ -685,14 +735,12 @@ def test_markov_invalid_generator_is_a_validate_finding(workdir, capsys):
 
 
 def test_markov_reducible_chain_is_a_precondition_failure(workdir, capsys):
-    tmp_path, write = workdir
+    _, write = workdir
     gen = write("gen.json", {"convention": "transposed", "dim": 3,
                              "rows": [[-1, 0, 0], [1, 0, 0], [0, 0, 0]]})
-    out = tmp_path / "r.json"
-    code, report, err = run(capsys, "markov", gen, "stationary", "--out", str(out))
+    code, report, err = run(capsys, "markov", gen, "stationary")
     assert code == 4 and report is None
     assert "precondition failed: kernel dimension 2" in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("rows", [[[-1, 0], [1, 0]], [[-1, 0, 0], [1, -1, 1], [0, 1, -1]]],
@@ -720,43 +768,58 @@ SIMULATE = ["simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--out", "{
 
 
 def _options_fields(workdir, capsys):
-    """A generator file, a synthesized system file, and the ``--out`` paths."""
+    """A matrix file, a generator file, a synthesized system file, and two
+    paths that no command may write: a CSV and a report."""
     tmp_path, write = workdir
-    fields = {"gen": write("gen.json", {"convention": "transposed", "dim": 3,
+    fields = {"matrix": write("a.json", THREE_STATE_DOC),
+              "gen": write("gen.json", {"convention": "transposed", "dim": 3,
                                         "rows": reversible_three_state().matrix.tolist()}),
               "system": str(tmp_path / "system.json"), "csv": str(tmp_path / "t.csv"),
               "out": str(tmp_path / "report.json")}
-    run(capsys, "synthesize", write("a.json", THREE_STATE_DOC), "--out", fields["system"])
+    run(capsys, "synthesize", fields["matrix"], "--out", fields["system"])
     return fields
 
 
 @pytest.mark.parametrize("argv, keys", [
-    (["markov", "{gen}", "validate", "--out", "{out}"], ["subcommand", "tol"]),
-    (["markov", "{gen}", "entropic-verify", "--out", "{out}"], ["subcommand", "tol"]),
-    (["convexity", "{system}", "--samples", "7", "--seed", "3", "--out", "{out}"], ["tol"]),
+    (["markov", "{gen}", "validate"], ["subcommand", "tol"]),
+    (["markov", "{gen}", "entropic-verify"], ["subcommand", "tol"]),
+    (["convexity", "{system}", "--samples", "7"], ["tol"]),
     (SIMULATE, ["method", "t_end", "step"]),
     (SIMULATE + ["--step", "0.5"], ["method", "t_end", "step"]),
 ], ids=["validate", "entropic-verify", "convexity", "simulate", "simulate-step"])
 def test_report_options_hold_only_the_settings_that_took_effect(workdir, capsys, argv, keys):
-    """``convexity``'s ``--samples`` and ``--seed`` are ignored, so its report
-    echoes neither; every other report echoes each of its settings."""
+    """``convexity``'s ``--samples`` is ignored, so its report does not echo
+    it; every other report echoes each of its settings."""
     fields = _options_fields(workdir, capsys)
     code, report, _ = run(capsys, *(part.format(**fields) for part in argv))
     assert code == 0
     assert list(report["options"]) == keys
 
 
+#: The flags each command no longer takes.
+REMOVED_FLAGS = {"analyze": {"--out"}, "verify": {"--out"}, "convexity": {"--out", "--seed"},
+                 "simulate": {"--nodes"}, "markov": {"--out", "--samples", "--seed"}}
+
+
 @pytest.mark.parametrize("argv", [
-    ["markov", "{gen}", "validate", "--samples", "7", "--seed", "3", "--out", "{out}"],
-    ["markov", "{gen}", "entropic-verify", "--samples", "5", "--out", "{out}"],
-    ["markov", "{gen}", "entropic-verify", "--seed", "3", "--out", "{out}"],
+    ["markov", "{gen}", "validate", "--samples", "7", "--seed", "3"],
+    ["markov", "{gen}", "entropic-verify", "--samples", "5"],
+    ["markov", "{gen}", "entropic-verify", "--seed", "3"],
     SIMULATE + ["--nodes", "5"],
     SIMULATE + ["--step", "0.5", "--nodes", "9"],
+    ["analyze", "{matrix}", "--out", "{out}"],
+    ["verify", "{system}", "--out", "{out}"],
+    ["convexity", "{system}", "--out", "{out}"],
+    ["markov", "{gen}", "stationary", "--out", "{out}"],
+    ["convexity", "{system}", "--seed", "3"],
 ], ids=["validate", "entropic-verify-samples", "entropic-verify-seed", "simulate-nodes",
-        "simulate-step-nodes"])
+        "simulate-step-nodes", "analyze-out", "verify-out", "convexity-out", "markov-out",
+        "convexity-seed"])
 def test_removed_flags_are_usage_errors(workdir, capsys, argv):
-    """``simulate --nodes`` and ``markov --samples``/``--seed`` are gone: each
-    exits 2 as an argparse usage error, writes no file, and no help names it."""
+    """``simulate --nodes``, ``markov --samples``/``--seed``, the report copy
+    ``--out`` of ``analyze``, ``verify``, ``convexity`` and ``markov``, and
+    ``convexity --seed`` are gone: each exits 2 as an argparse usage error,
+    writes no file, and no help names it."""
     tmp_path, _ = workdir
     fields = _options_fields(workdir, capsys)
     before = sorted(tmp_path.iterdir())
@@ -767,7 +830,7 @@ def test_removed_flags_are_usage_errors(workdir, capsys, argv):
     assert sorted(tmp_path.iterdir()) == before
     with pytest.raises(SystemExit):
         main([argv[0], "--help"])
-    assert not {"--nodes", "--samples", "--seed"} & set(capsys.readouterr().out.split())
+    assert not REMOVED_FLAGS[argv[0]] & set(capsys.readouterr().out.split())
 
 
 def test_reports_are_deterministic_modulo_timestamp(workdir, capsys):
@@ -817,15 +880,6 @@ def test_trajectory_csv_roundtrips_doubles(workdir, capsys):
     assert np.array_equal(parsed[:, 1:], traj.states)
 
 
-def test_report_out_flag_writes_identical_json(workdir, capsys):
-    tmp_path, write = workdir
-    path = write("a.json", THREE_STATE_DOC)
-    saved = tmp_path / "report.json"
-    code, report, _ = run(capsys, "analyze", path, "--out", str(saved))
-    assert code == 0
-    assert json.loads(saved.read_text()) == report
-
-
 HUGE = "1" + "0" * 21  # 1e21 as an integer
 
 
@@ -857,7 +911,7 @@ HUGE = "1" + "0" * 21  # 1e21 as an integer
     ("convexity", "{system}", "--samples", HUGE),
     ("convexity", "{system}", "--samples", "1" + "0" * 400),
     ("analyze", "{matrix}", "--tol", "1e400"),
-    ("convexity", "{system}", "--seed", "-1"),
+    ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "5e-324"),
     ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1", "--method", "exact",
      "--step", "2"),
     ("simulate", "{system}", "--x0", "1,0,0", "--x0", "0,1,0", "--x0", "0,0,1",
@@ -1045,9 +1099,7 @@ def test_analyze_accepts_exactly_what_synthesize_certifies(tmp_path, capsys, dim
     ("analyze", "{binary}"),
     ("verify", "{binary}"),
     ("markov", "{binary}", "validate"),
-    ("analyze", "{matrix}", "--out", "{missing}/r.json"),
     ("synthesize", "{matrix}", "--out", "{missing}/s.json"),
-    ("convexity", "{system}", "--samples", "10", "--out", "{missing}/r.json"),
     ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1",
      "--out", "{missing}/t.csv"),
 ])
@@ -1071,7 +1123,6 @@ def test_undecodable_input_and_unwritable_out_exit_2(workdir, capsys, argv):
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [
-    ("analyze", "{matrix}"),
     ("synthesize", "{matrix}"),
     ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1"),
 ])
@@ -1100,7 +1151,6 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.parametrize("earlier", [None, b"an earlier file\n"])
 @pytest.mark.parametrize("argv", [
-    ("analyze", "{matrix}"),
     ("synthesize", "{matrix}"),
     ("simulate", "{system}", "--x0", "1,0,0", "--t-end", "1"),
 ])
@@ -1208,14 +1258,18 @@ def test_factorisation_counts_of_analyze_per_branch(workdir, capsys, linalg_coun
     assert dict(linalg_counts) == expected
 
 
+#: ``--t-end`` and ``--step`` values at the ends of the double range.
+GRID_ENDS = ["0", "5e-324", "1e-321", repr(2.0 ** -1022), "1", "1e200", repr(sys.float_info.max)]
 FUZZ_ARGV = st.one_of(
     st.sampled_from([["analyze", "{matrix}"],
                      ["synthesize", "{matrix}", "--out", "{system}"],
                      ["verify", "{system}"],
                      ["convexity", "{system}", "--samples", "5"]]),
-    st.sampled_from(["exact", "rk4", "mm"]).map(
-        lambda method: ["simulate", "{system}", "--x0", "{x0}", "--t-end", "1",
-                        "--method", method, "--step", "0.5", "--out", "{csv}"]),
+    st.tuples(st.sampled_from(["exact", "rk4", "mm"]), st.sampled_from(GRID_ENDS),
+              st.sampled_from([None, *GRID_ENDS])).map(
+        lambda drawn: ["simulate", "{system}", "--x0", "{x0}", "--t-end", drawn[1],
+                       "--method", drawn[0], *(["--step", drawn[2]] if drawn[2] else []),
+                       "--out", "{csv}"]),
     st.sampled_from(["validate", "stationary", "reversible", "entropic-verify"]).map(
         lambda sub: ["markov", "{generator}", sub]),
 )
@@ -1256,6 +1310,12 @@ def _exit_code(argv):
 @example(rows=[[-1.0, 1.0], [1.0, -1.0]],
          argv=["simulate", "{system}", "--x0", "{x0}", "--t-end", "1", "--method",
                "mm", "--step", "1e-300", "--out", "{csv}"], options=[])
+@example(rows=[[-1.0, 1.0], [1.0, -1.0]],
+         argv=["simulate", "{system}", "--x0", "{x0}", "--t-end", "5e-324", "--method",
+               "exact", "--out", "{csv}"], options=[])
+@example(rows=[[-1.0, 1.0], [1.0, -1.0]],
+         argv=["simulate", "{system}", "--x0", "{x0}", "--t-end", "1e-321", "--method",
+               "mm", "--step", "5e-324", "--out", "{csv}"], options=[])
 def test_fuzzed_inputs_keep_the_exit_code_contract(rows, argv, options):
     """Any small matrix and argv ends in exit 0/2/3/4/5 with no traceback.
 

@@ -86,13 +86,12 @@ def test_each_exit_code_and_label_from_a_fresh_process(tmp_path, capsys, code, l
         assert len(child.stderr.splitlines()) == 1
 
 
-def test_stdout_and_the_out_copy_are_the_whole_report(tmp_path, d200):
+def test_stdout_is_the_whole_report(tmp_path, d200):
     expected = _cli("analyze", d200, cwd=tmp_path).stdout
-    child = _cli("analyze", d200, "--out", "report.json", cwd=tmp_path)
+    child = _cli("analyze", d200, cwd=tmp_path)
     assert (child.returncode, child.stderr) == (0, "")
     assert len(child.stdout.encode()) > 8192
     assert _without_timestamp(child.stdout) == _without_timestamp(expected)
-    assert (tmp_path / "report.json").read_text() == child.stdout
 
 
 def test_simulate_csv_is_whole(tmp_path, capsys, monkeypatch):
@@ -152,42 +151,40 @@ def test_usage_error_exits_2_and_help_exits_0(tmp_path):
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("dim", [3, 200])
 @pytest.mark.parametrize("sink", ["closed pipe", "full device"])
-def test_a_failed_report_write_exits_2_and_leaves_the_out_copy_whole(
+def test_a_failed_report_write_exits_2_and_leaves_the_system_file_whole(
         tmp_path, d200, sink, dim, unbuffered):
     """A pipe whose read end is closed (EPIPE) or ``/dev/full`` (ENOSPC) on
     stdout: the first failing write or flush, buffered or not, short report
     or over a buffer's length, exits 2 with one line and no traceback, and
-    the ``--out`` copy written before it is whole."""
+    ``synthesize``'s system file, written before the report, is whole."""
     if sink == "full device" and not Path("/dev/full").exists():
         pytest.skip("needs /dev/full")
     matrix = d200 if dim == 200 else _write(tmp_path / "a.json", THREE_STATE_DOC)
-    expected = _cli("analyze", matrix, cwd=tmp_path).stdout
+    assert _cli("synthesize", matrix, "--out", "expected.json", cwd=tmp_path).returncode == 0
     env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
-    if sink == "closed pipe":
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        with os.fdopen(write_end, "wb") as stdout:
-            child = _cli("analyze", matrix, "--out", "r.json", cwd=tmp_path, stdout=stdout,
-                         env=env)
-        reason = "Broken pipe"
-    else:
-        with open("/dev/full", "wb") as stdout:
-            child = _cli("analyze", matrix, "--out", "r.json", cwd=tmp_path, stdout=stdout,
-                         env=env)
-        reason = "No space left on device"
-    assert child.returncode == 2
-    assert child.stderr == f"gradflow: output error: cannot write <stdout>: {reason}\n"
-    assert _without_timestamp((tmp_path / "r.json").read_text()) == (
-        _without_timestamp(expected))
+    for argv in (["analyze", matrix], ["synthesize", matrix, "--out", "sys.json"]):
+        if sink == "closed pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            stdout, reason = os.fdopen(write_end, "wb"), "Broken pipe"
+        else:
+            stdout, reason = open("/dev/full", "wb"), "No space left on device"
+        with stdout:
+            child = _cli(*argv, cwd=tmp_path, stdout=stdout, env=env)
+        assert child.returncode == 2
+        assert child.stderr == f"gradflow: output error: cannot write <stdout>: {reason}\n"
+    assert (tmp_path / "sys.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
 
 
-def test_a_closed_stdout_exits_2_after_the_out_copy(tmp_path):
+def test_a_closed_stdout_exits_2_after_the_system_file(tmp_path):
     """Started with descriptor 1 closed, Python has no ``sys.stdout``."""
-    child = _cli("analyze", _write(tmp_path / "a.json", THREE_STATE_DOC), "--out", "r.json",
-                 cwd=tmp_path, stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    matrix = _write(tmp_path / "a.json", THREE_STATE_DOC)
+    assert _cli("synthesize", matrix, "--out", "expected.json", cwd=tmp_path).returncode == 0
+    child = _cli("synthesize", matrix, "--out", "sys.json", cwd=tmp_path,
+                 stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
     assert child.returncode == 2
     assert child.stderr == "gradflow: output error: cannot write <stdout>: stdout is closed\n"
-    assert json.loads((tmp_path / "r.json").read_text())["command"] == "analyze"
+    assert (tmp_path / "sys.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
 
 
 @pytest.mark.parametrize("sink", ["closed pipe", "full device", "unbuffered closed pipe"])
